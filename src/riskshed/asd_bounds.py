@@ -17,16 +17,24 @@ candidate, and the risk-neutral optimum is a floor for those means, so this
 is the cheapest certificate that holds uniformly; pushing eta higher can
 tighten the master but voids the certificate, hence the heuristic_lb
 escape hatch is off by default.
+
+Once the target stops moving, iterations mostly repeat earlier work: the
+same candidate is evaluated again, the same cuts come back, and the same
+master is rebuilt.  ``rm_asd_solve`` therefore runs on a ``MemoBackend``
+that lives for one call (``initialize`` included) and answers repeated
+programs from memory, and the cut pool rejects bit-identical cuts.  A
+stalled iteration then issues no solver call at all, while every bound,
+iterate and target stays what re-solving would have given.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import util
-from .backend import get_backend
+from .backend import MemoBackend, get_backend
 from .dep import build_dep_expectation
 from .lshaped import (CutPool, OptimalityCut, build_master, cuts_from_duals,
                       lshaped_solve, solve_subproblems, THETA_FLOOR,
@@ -40,6 +48,7 @@ class CutGenerationError(RuntimeError):
 
 
 MEMBERSHIP_TOL = 1e-9
+STALL_LIMIT = 3                         # equal-mass ties before halving xi
 
 
 @dataclass
@@ -48,7 +57,6 @@ class AsdBoundsConfig:
     epsilon: float | None = None        # default 1e-4 * max(1, |Q_E|)
     xi: float | None = None             # default 0.01 * max(1, |Q_E|)
     max_iters: int = 50
-    stall_limit: int = 3                # equal-mass ties before halving xi
     heuristic_lb: bool = False          # accept LB candidates with eta above Q_E
     classic_cuts: bool = True           # also cut at each new iterate
     init_lshaped_iters: int = 60
@@ -207,7 +215,7 @@ def adjust_target(state: AsdBoundsState, problem: TwoStageProblem):
         state.stalls = 0
     else:
         state.stalls += 1
-        if state.stalls >= 3:
+        if state.stalls >= STALL_LIMIT:
             state.xi *= 0.5
             state.stalls = 0
     return state
@@ -218,8 +226,11 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
 
     state.status is "converged" when upper - lower < epsilon, else
     "iteration_cap".  state.upper is always achievable by state.x_best.
+    Solves run through a MemoBackend private to this call; the caller's
+    backend stats count only the solves that actually ran.
     """
-    backend = get_backend(config.backend)
+    backend = MemoBackend(get_backend(config.backend))
+    config = replace(config, backend=backend)
     state = initialize(problem, config)
     if state.gap < state.epsilon:
         state.status = "converged"
@@ -227,11 +238,9 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
 
     for it in range(1, config.max_iters + 1):
         adjust_target(state, problem)
-        cuts_added = 0
         cut = excess_mean_cut(problem, config.rho, state.x_hat, state.eta,
                               backend, config.threads)
-        state.pool.add(cut)
-        cuts_added += 1
+        cuts_added = int(state.pool.add(cut))
 
         program, _ = build_master(problem, config.rho, state.pool, state.eta)
         msol = backend.solve_mip(program)
@@ -265,9 +274,8 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
         if config.classic_cuts:
             subs = solve_subproblems(problem, config.rho, x_new, state.eta,
                                      backend, config.threads)
-            for c in cuts_from_duals(problem, subs):
-                state.pool.add(c)
-                cuts_added += 1
+            cuts_added += sum(state.pool.add(c)
+                              for c in cuts_from_duals(problem, subs))
 
         state.history.append(_record(state, it, cuts_added, event))
         if state.gap < state.epsilon:

@@ -9,11 +9,13 @@ Two interchangeable backends sit behind the same contract:
   external-solver plug-in, used for heavy extensive forms and as an
   independent oracle when testing the reference code.
 
-``get_backend`` resolves ``None``/names to instances.
+``get_backend`` resolves ``None``/names to instances.  ``MemoBackend``
+wraps either one and answers repeated programs from memory.
 """
 from __future__ import annotations
 
 from . import bnb, simplex
+from .memo import MemoBackend
 from .mps import write_mps
 from .program import (
     INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, Backend, LinearProgram,
@@ -23,7 +25,7 @@ from .program import (
 __all__ = [
     "Backend", "LinearProgram", "LpSolution", "MixedBinaryProgram",
     "MipSolution", "NumericalFailure", "SolveStats", "SimplexBackend",
-    "ScipyBackend", "get_backend", "write_mps",
+    "ScipyBackend", "MemoBackend", "get_backend", "write_mps",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED", "NODE_CAP",
 ]
 

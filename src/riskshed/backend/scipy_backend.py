@@ -80,13 +80,20 @@ def solve_mip(mip, gap_tol=0.0, node_cap=100_000) -> MipSolution:
     constraints = (
         [sciopt.LinearConstraint(lp.lhs, lb, ub)] if lp.num_rows else []
     )
-    res = sciopt.milp(
-        c=lp.objective,
-        constraints=constraints,
-        integrality=mip.binary.astype(int),
-        bounds=sciopt.Bounds(lower, upper),
-        options={"mip_rel_gap": float(gap_tol), "node_limit": int(node_cap)},
-    )
+    options = {"mip_rel_gap": float(gap_tol), "node_limit": int(node_cap)}
+
+    def run():
+        return sciopt.milp(c=lp.objective, constraints=constraints,
+                           integrality=mip.binary.astype(int),
+                           bounds=sciopt.Bounds(lower, upper), options=options)
+
+    res = run()
+    if res.status == 4:
+        # HiGHS can hit a solve error on small, badly scaled masters after
+        # presolve (knapsack seed 659's bounding master); the unpresolved
+        # model solves cleanly.
+        options["presolve"] = False
+        res = run()
     if res.status == 2:
         return MipSolution(status=INFEASIBLE)
     if res.status == 3:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import binascii
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -52,6 +53,7 @@ RISK_TOKENS = {
 }
 
 # Config keys holding output paths, per subcommand; rerun redirects these.
+# "plots" names a directory; the manifest lists the charts written into it.
 OUTPUT_KEYS = {
     "gen": ("out",),
     "solve": ("out", "history"),
@@ -67,6 +69,12 @@ INPUT_KEYS = {
 
 CHART_SIZE = (320, 200)             # report --plots canvas, pixels
 BAR_RGB = bytes((70, 130, 180))     # steel blue
+# report --plots: one <stem>.png per series, drawn from the summary column.
+PLOT_SERIES = {
+    "lost_sales_events": "mean_lost_sales_events",
+    "lost_sales_quantity": "mean_lost_sales_quantity",
+    "total_cost": "mean_total_cost",
+}
 
 SIM_FIELDS = ["policy", "replication", "lost_sales_events",
               "lost_sales_quantity", "recourse_cost", "replenishment_cost"]
@@ -90,12 +98,24 @@ def _history_path(out):
     return out + fileio.HISTORY_SUFFIX
 
 
+def _plot_files(out_dir):
+    return [os.path.join(out_dir, f"{stem}.png") for stem in PLOT_SERIES]
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _write_manifest(path, subcommand, config, inputs, outputs, wall_time,
                     exit_status):
+    """Run record; checksums cover the listed files that exist on disk."""
+    files = list(inputs) + list(outputs)
     doc = {
         "format": MANIFEST_FORMAT, "version": fileio.FORMAT_VERSION,
         "subcommand": subcommand, "config": config,
         "inputs": list(inputs), "outputs": list(outputs),
+        "checksums": {f: _sha256(f) for f in files if os.path.isfile(f)},
         "wall_time": wall_time, "exit_status": exit_status,
     }
     fileio._atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
@@ -433,13 +453,9 @@ def _bar_chart_png(series, labels, values):
 def _render_plots(table, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     policies = [row["policy"] for row in table]
-    series = {
-        "lost_sales_events": [float(r["mean_lost_sales_events"]) for r in table],
-        "lost_sales_quantity": [float(r["mean_lost_sales_quantity"]) for r in table],
-        "total_cost": [float(r["mean_total_cost"]) for r in table],
-    }
-    for stem, values in series.items():
-        with open(os.path.join(out_dir, f"{stem}.png"), "wb") as fh:
+    for (stem, column), path in zip(PLOT_SERIES.items(), _plot_files(out_dir)):
+        values = [float(r[column]) for r in table]
+        with open(path, "wb") as fh:
             fh.write(_bar_chart_png(stem, policies, values))
 
 
@@ -489,7 +505,10 @@ def execute(subcommand, cfg):
         inputs = [cfg[k] for k in INPUT_KEYS[subcommand] if cfg.get(k)]
         if subcommand == "report":
             inputs = list(cfg["inputs"])
-        outputs = [cfg[k] for k in OUTPUT_KEYS[subcommand] if cfg.get(k)]
+        outputs = []
+        for key in OUTPUT_KEYS[subcommand]:
+            if cfg.get(key):
+                outputs += _plot_files(cfg[key]) if key == "plots" else [cfg[key]]
         _write_manifest(anchor + MANIFEST_SUFFIX, subcommand, cfg, inputs,
                         outputs, wall, code)
     return code

@@ -49,10 +49,27 @@ class OptimalityCut:
 
 @dataclass
 class CutPool:
-    cuts: list = field(default_factory=list)
+    """Cuts in insertion order; a bit-identical repeat is not stored twice."""
 
-    def add(self, cut: OptimalityCut):
+    cuts: list = field(default_factory=list)
+    _keys: set = field(init=False, repr=False)
+
+    @staticmethod
+    def _key(cut):
+        return (np.asarray(cut.coef, dtype=float).tobytes(), float(cut.rhs_base),
+                float(cut.eta_coef), cut.scenario)
+
+    def __post_init__(self):
+        self._keys = {self._key(c) for c in self.cuts}
+
+    def add(self, cut: OptimalityCut) -> bool:
+        """Store cut unless an identical one is pooled; True if it entered."""
+        key = self._key(cut)
+        if key in self._keys:
+            return False
+        self._keys.add(key)
         self.cuts.append(cut)
+        return True
 
     def __len__(self):
         return len(self.cuts)
@@ -60,7 +77,6 @@ class CutPool:
     def materialize(self, eta: float):
         """(coef matrix, rhs vector, scenario slots) at the given target."""
         if not self.cuts:
-            n = 0
             return np.zeros((0, 0)), np.zeros(0), []
         coef = np.array([c.coef for c in self.cuts])
         rhs = np.array([c.rhs_at(eta) for c in self.cuts])

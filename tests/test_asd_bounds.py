@@ -149,6 +149,50 @@ def test_initialize_seeds_eta_at_neutral_value():
     assert state.history[0]["event"] == "init"
 
 
+def test_fixed_point_iterations_issue_no_solves():
+    # seed 0 stops moving after the first iterations: later ones rebuild the
+    # same cuts and master, which the memo and the pool answer without HiGHS
+    problem = small_knapsack(0)
+    runs = {}
+    for iters in (5, 15):
+        backend = ScipyBackend()
+        state = rm_asd_solve(problem, AsdBoundsConfig(
+            rho=0.5, max_iters=iters, backend=backend))
+        assert state.status == "iteration_cap"
+        runs[iters] = (backend.stats.as_dict(), state)
+    assert runs[5][0] == runs[15][0]
+    short, full = runs[5][1], runs[15][1]
+    assert len(short.history) == 6
+    for a, b in zip(short.history, full.history):
+        assert {k: v for k, v in a.items() if k != "wall_time"} == \
+               {k: v for k, v in b.items() if k != "wall_time"}
+    assert sum(row["cuts_added"] for row in full.history) == len(full.pool)
+    assert full.history[-1]["cuts_added"] == 0
+
+
+def test_cuts_added_counts_pool_entries():
+    problem = small_knapsack(1)
+    state = rm_asd_solve(problem, AsdBoundsConfig(
+        rho=0.5, max_iters=6, backend=ScipyBackend()))
+    assert sum(row["cuts_added"] for row in state.history) == len(state.pool)
+
+
+def test_knapsack_seed_659_master_solves():
+    # HiGHS reports a solve error on one bounding master of this instance
+    # unless presolve is switched off; the backend retries without it
+    problem = generate_knapsack(
+        KnapsackGenSpec(n1=6, n2=6, num_scenarios=4, seed=659, m1=3, m2=4))
+    state = rm_asd_solve(problem, AsdBoundsConfig(
+        rho=0.5, max_iters=15, backend=ScipyBackend()))
+    assert state.status in ("converged", "iteration_cap")
+    tol = 1e-9 * max(1.0, abs(state.upper))
+    assert state.q_expectation - tol <= state.lower <= state.upper + tol
+    opt = asd_dep_optimum(problem, 0.5)
+    scale = max(1.0, abs(opt))
+    assert state.lower <= opt + 1e-7 * scale
+    assert opt <= state.upper + 1e-7 * scale
+
+
 def test_history_row_fields():
     problem = small_knapsack(13)
     state = rm_asd_solve(problem, AsdBoundsConfig(

@@ -4,11 +4,15 @@ The reference backend is the normative one; scipy acts as the independent
 oracle.  Random programs are drawn with bounded data so both backends stay
 well-conditioned.
 """
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from riskshed.backend import (
-    INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram,
+    INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram, MemoBackend,
     MixedBinaryProgram, ScipyBackend, SimplexBackend, get_backend, write_mps,
 )
 from riskshed.backend import bnb, simplex
@@ -160,6 +164,77 @@ def test_backend_stats_accumulate():
     be.solve_lp(lp)
     assert be.stats.lp_solves == 2
     assert be.stats.as_dict()["lp_solves"] == 2
+
+
+def test_memo_backend_solves_each_program_once():
+    inner = ScipyBackend()
+    memo = MemoBackend(inner)
+    assert memo.stats is inner.stats and memo.name == inner.name
+    lp = LinearProgram(objective=[1.0, 2.0], lhs=[[1.0, 1.0]], senses=[">="],
+                       rhs=[1.0], lower=[0.0, 0.0], upper=[np.inf, np.inf])
+    first = memo.solve_lp(lp)
+    again = memo.solve_lp(LinearProgram(objective=[1.0, 2.0], lhs=[[1.0, 1.0]],
+                                        senses=[">="], rhs=[1.0], lower=[0.0, 0.0],
+                                        upper=[np.inf, np.inf]))
+    assert again is first and inner.stats.lp_solves == 1
+    # a change in any field is a new program
+    memo.solve_lp(LinearProgram(objective=[1.0, 2.0], lhs=[[1.0, 1.0]],
+                                senses=["<="], rhs=[1.0], lower=[0.0, 0.0],
+                                upper=[np.inf, np.inf]))
+    assert inner.stats.lp_solves == 2
+    mip = MixedBinaryProgram(lp=lp, binary=[True, False])
+    a = memo.solve_mip(mip)
+    assert memo.solve_mip(mip) is a
+    assert memo.solve_mip(mip, gap_tol=1e-4) is not a
+    assert memo.solve_mip(MixedBinaryProgram(lp=lp, binary=[False, True])) is not a
+    assert inner.stats.mip_solves == 3
+    with pytest.raises(ValueError):
+        first.x[0] = 5.0
+    with pytest.raises(ValueError):
+        a.x[:] = 0.0
+    with pytest.raises(ValueError):
+        first.duals[0] = 0.0
+
+
+def test_memo_backend_solves_once_under_threads():
+    class Counting(SimplexBackend):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+            self.lock = threading.Lock()
+
+        def solve_lp(self, lp):
+            with self.lock:
+                self.calls += 1
+            time.sleep(0.001)           # widen the window for a double solve
+            return super().solve_lp(lp)
+
+    inner = Counting()
+    memo = MemoBackend(inner)
+    lps = [LinearProgram(objective=[1.0], lhs=[[1.0]], senses=[">="],
+                         rhs=[float(k)], lower=[0.0], upper=[np.inf])
+           for k in range(4)]
+    answers = [[] for _ in range(8)]
+
+    def work(out):
+        for _ in range(25):
+            out.extend(memo.solve_lp(lp) for lp in lps)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in answers]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert inner.calls == len(lps) == inner.stats.lp_solves
+    assert all(len(out) == 100 for out in answers)
+    assert {id(sol) for out in answers for sol in out} == {
+        id(memo.solve_lp(lp)) for lp in lps}
 
 
 MPS_GOLDEN = """\

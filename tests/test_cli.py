@@ -1,5 +1,6 @@
 """Operator surface: dispatch, exit codes, manifests, replays."""
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -242,6 +243,18 @@ def test_report_plots_are_bar_charts_and_replay(mssop_file, tmp_path):
     for stem in ("lost_sales_events", "lost_sales_quantity", "total_cost"):
         assert (open(replay / "plots" / f"{stem}.png", "rb").read()
                 == open(os.path.join(plots, f"{stem}.png"), "rb").read())
+    # the manifest lists the charts, not their directory, and each listed
+    # output is a file the replay rewrites byte for byte
+    doc = cli.load_manifest(agg + cli.MANIFEST_SUFFIX)
+    assert doc["outputs"] == [agg] + [os.path.join(plots, f"{stem}.png") for stem in
+                                      ("lost_sales_events", "lost_sales_quantity",
+                                       "total_cost")]
+    replayed = cli.load_manifest(str(replay / "agg.csv") + cli.MANIFEST_SUFFIX)
+    for path, again in zip(doc["outputs"], replayed["outputs"]):
+        assert os.path.isfile(path) and os.path.isfile(again)
+        assert os.path.relpath(again, replay) == os.path.relpath(path, tmp_path)
+        assert open(again, "rb").read() == open(path, "rb").read()
+        assert doc["checksums"][path] == replayed["checksums"][again]
 
 
 def test_simulate_rejects_wrong_instance(mssop_file, tmp_path):
@@ -304,6 +317,22 @@ def test_manifest_is_json_with_config(knap_file):
     assert doc["config"]["seed"] == 4
     assert doc["outputs"] == [knap_file]
     assert doc["wall_time"] >= 0.0
+
+
+def test_manifest_checksums_cover_inputs_and_outputs(knap_file, tmp_path):
+    out = str(tmp_path / "neutral.result.json")
+    assert run("solve", "--in", knap_file, "--risk", "neutral",
+               "--backend", "scipy", "--out", out) == 0
+
+    def sha(path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    gen = cli.load_manifest(knap_file + cli.MANIFEST_SUFFIX)
+    assert gen["checksums"] == {knap_file: sha(knap_file)}
+    solve = cli.load_manifest(out + cli.MANIFEST_SUFFIX)
+    files = solve["inputs"] + solve["outputs"]
+    assert files == [knap_file, out, cli._history_path(out)]
+    assert solve["checksums"] == {path: sha(path) for path in files}
 
 
 def test_argparse_rejects_unknown_tokens(tmp_path):

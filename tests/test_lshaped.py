@@ -132,6 +132,24 @@ def test_master_includes_cuts_and_floor():
     assert sol.x[-1] >= -5.0 - 1e-9
 
 
+def test_cut_pool_rejects_identical_cuts():
+    pool = CutPool()
+    cut = OptimalityCut(coef=np.array([1.0, -2.0]), rhs_base=3.0, eta_coef=0.5)
+    assert pool.add(cut)
+    assert not pool.add(OptimalityCut(coef=np.array([1.0, -2.0]), rhs_base=3.0,
+                                      eta_coef=0.5, origin="excess-mean"))
+    assert len(pool) == 1
+    # any differing field makes a new cut
+    assert pool.add(OptimalityCut(coef=cut.coef, rhs_base=3.0, eta_coef=0.5,
+                                  scenario=0))
+    assert pool.add(OptimalityCut(coef=cut.coef, rhs_base=3.0 + 1e-12,
+                                  eta_coef=0.5))
+    assert pool.add(OptimalityCut(coef=np.array([1.0, -2.0 + 1e-15]),
+                                  rhs_base=3.0, eta_coef=0.5))
+    assert len(pool) == 4
+    assert not CutPool(cuts=[cut]).add(cut)
+
+
 def test_multicut_matches_single_cut_optimum():
     rng = np.random.default_rng(216)
     backend = SimplexBackend()
