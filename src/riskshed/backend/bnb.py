@@ -66,6 +66,7 @@ def solve_mip(mip: MixedBinaryProgram, gap_tol: float = 0.0,
     incumbent_obj = np.inf
     seq = 0
     heap = [_Node(bound=-np.inf, seq=seq, fixed={})]
+    gap_pruned = []     # LP values of subtrees closed by the gap, not by proof
     nodes = 0
     status = OPTIMAL
 
@@ -99,6 +100,7 @@ def solve_mip(mip: MixedBinaryProgram, gap_tol: float = 0.0,
         branch_var = int(binary_idx[worst])
         if incumbent is not None and gap_tol > 0:
             if incumbent_obj - value <= gap_tol * max(1.0, abs(incumbent_obj)):
+                gap_pruned.append(value)
                 continue
         for v in (0, 1):
             seq += 1
@@ -106,13 +108,12 @@ def solve_mip(mip: MixedBinaryProgram, gap_tol: float = 0.0,
             child[branch_var] = v
             heapq.heappush(heap, _Node(bound=value, seq=seq, fixed=child))
 
-    open_bounds = [nd.bound for nd in heap if nd.bound < incumbent_obj]
+    bound = min([nd.bound for nd in heap] + gap_pruned + [incumbent_obj])
     if status == NODE_CAP:
-        bound = min(open_bounds) if open_bounds else incumbent_obj
         return MipSolution(status=NODE_CAP, objective=(None if incumbent is None else incumbent_obj),
                            x=incumbent, bound=(None if bound == -np.inf else float(bound)),
                            nodes=nodes, iterations=total_iters)
     if incumbent is None:
         return MipSolution(status=INFEASIBLE, nodes=nodes, iterations=total_iters)
     return MipSolution(status=OPTIMAL, objective=incumbent_obj, x=incumbent,
-                       bound=incumbent_obj, nodes=nodes, iterations=total_iters)
+                       bound=float(bound), nodes=nodes, iterations=total_iters)

@@ -110,7 +110,10 @@ def solve_mip(mip, gap_tol=0.0, node_cap=100_000) -> MipSolution:
         raise NumericalFailure(f"milp failed: {res.message}")
     x = _snap(res.x, mip.binary)
     obj = float(lp.objective @ x)
-    return MipSolution(status=OPTIMAL, objective=obj, x=x, bound=obj, nodes=nodes)
+    # Within a gap the incumbent is no bound; HiGHS's dual bound is.
+    dual = getattr(res, "mip_dual_bound", None)
+    bound = obj if dual is None or not np.isfinite(dual) else min(float(dual), obj)
+    return MipSolution(status=OPTIMAL, objective=obj, x=x, bound=bound, nodes=nodes)
 
 
 def _snap(x, binary):

@@ -227,11 +227,12 @@ def _solve_dep(cfg, problem, backend):
         if sol.x is not None:
             fields["x"] = art.first_stage_values(sol.x)
         return (EXIT_CAP, fields, history)
-    obj = sol.objective
-    history.append({"iteration": 0, "lower": obj, "upper": obj,
-                    "gap": 0.0, "event": "dep"})
-    fields = dict(status="optimal", objective=obj, lower=obj, upper=obj,
-                  gap_percent=0.0, x=art.first_stage_values(sol.x))
+    obj, bound = sol.objective, sol.bound
+    history.append({"iteration": 0, "lower": bound, "upper": obj,
+                    "gap": obj - bound, "event": "dep"})
+    fields = dict(status="optimal", objective=obj, lower=bound, upper=obj,
+                  gap_percent=util.gap_percent(bound, obj),
+                  x=art.first_stage_values(sol.x))
     return (EXIT_OK, fields, history)
 
 

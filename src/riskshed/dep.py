@@ -8,6 +8,14 @@ and rows as first-stage block, per-scenario recourse blocks, then the
 measure's linking rows.  Index maps into both dimensions are returned with
 the assembled program so callers can pin, relax or decode solutions without
 guessing offsets.
+
+The absolute-semideviation form keeps the first-stage cost c'x in the
+objective only.  Its linking rows are q_w'y_w <= v_w and
+sum_j p_j q_j'y_j <= v_w, because c'x sits in both arguments of the
+semideviation's max and cancels out of it (probabilities sum to one):
+
+    (1-rho)(c'x + sum p q'y) + rho sum_w p_w max(c'x + q_w'y_w, c'x + sum_j p_j q_j'y_j)
+      = c'x + (1-rho) sum p q'y + rho sum_w p_w max(q_w'y_w, sum_j p_j q_j'y_j)
 """
 from __future__ import annotations
 
@@ -26,7 +34,6 @@ class DepArtifact:
     program: MixedBinaryProgram
     var_index: dict
     row_index: dict
-    structural_nnz: int     # nonzeros implied by the data blocks placed
     measure: str
 
     @property
@@ -74,26 +81,23 @@ def _layout(problem, num_links, num_v, v_free, num_aux=0):
     row_index = {"first_stage": slice(0, m1)}
     lhs[0:m1, 0:n1] = problem.first_stage_matrix
     rhs[0:m1] = problem.first_stage_rhs
-    nnz = int(np.count_nonzero(problem.first_stage_matrix))
     for k, s in enumerate(problem.scenarios):
         rsl = slice(m1 + k * m2, m1 + (k + 1) * m2)
         row_index[("recourse", k)] = rsl
         lhs[rsl, 0:n1] = s.technology
         lhs[rsl, var_index[("y", k)]] = s.recourse
         rhs[rsl] = s.rhs
-        nnz += int(np.count_nonzero(s.technology)) + int(np.count_nonzero(s.recourse))
 
-    return lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index, nnz
+    return lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index
 
 
 def _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-            var_index, row_index, nnz, measure):
+            var_index, row_index, measure):
     lp = LinearProgram(objective=obj, lhs=lhs, senses=senses, rhs=rhs,
                        lower=lower, upper=upper)
     return DepArtifact(
         program=MixedBinaryProgram(lp=lp, binary=binary),
-        var_index=var_index, row_index=row_index,
-        structural_nnz=nnz, measure=measure,
+        var_index=var_index, row_index=row_index, measure=measure,
     )
 
 
@@ -101,12 +105,12 @@ def build_dep_expectation(problem: TwoStageProblem) -> DepArtifact:
     """Risk-neutral extensive form: min c'x + sum_w p_w q_w'y_w."""
     require_valid(problem)
     (lhs, rhs, senses, obj, lower, upper, binary,
-     var_index, row_index, nnz) = _layout(problem, 0, 0, False)
+     var_index, row_index) = _layout(problem, 0, 0, False)
     obj[var_index["x"]] = problem.first_stage_cost
     for k, s in enumerate(problem.scenarios):
         obj[var_index[("y", k)]] = s.probability * s.cost
     return _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-                   var_index, row_index, nnz, "expectation")
+                   var_index, row_index, "expectation")
 
 
 def build_dep_expected_excess(problem, rho, eta) -> DepArtifact:
@@ -121,7 +125,7 @@ def build_dep_expected_excess(problem, rho, eta) -> DepArtifact:
     require_valid(problem)
     S = problem.num_scenarios
     (lhs, rhs, senses, obj, lower, upper, binary,
-     var_index, row_index, nnz) = _layout(problem, S, S, False)
+     var_index, row_index) = _layout(problem, S, S, False)
     obj[var_index["x"]] = (1.0 + rho) * problem.first_stage_cost
     base = problem.m1 + S * problem.m2
     for k, s in enumerate(problem.scenarios):
@@ -133,9 +137,8 @@ def build_dep_expected_excess(problem, rho, eta) -> DepArtifact:
         lhs[r, var_index[("v", k)]] = -1.0
         senses[r] = "<="
         rhs[r] = eta
-        nnz += int(np.count_nonzero(s.cost)) + 1
     return _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-                   var_index, row_index, nnz, "expected-excess")
+                   var_index, row_index, "expected-excess")
 
 
 def build_dep_modified_expected_excess(problem, rho, eta) -> DepArtifact:
@@ -148,10 +151,9 @@ def build_dep_modified_expected_excess(problem, rho, eta) -> DepArtifact:
     S = problem.num_scenarios
     c = problem.first_stage_cost
     (lhs, rhs, senses, obj, lower, upper, binary,
-     var_index, row_index, nnz) = _layout(problem, S, S, False)
+     var_index, row_index) = _layout(problem, S, S, False)
     obj[var_index["x"]] = (1.0 - rho) * c
     base = problem.m1 + S * problem.m2
-    c_nnz = int(np.count_nonzero(c))
     for k, s in enumerate(problem.scenarios):
         obj[var_index[("y", k)]] = (1.0 - rho) * s.probability * s.cost
         obj[var_index[("v", k)]] = rho * s.probability
@@ -162,80 +164,77 @@ def build_dep_modified_expected_excess(problem, rho, eta) -> DepArtifact:
         lhs[r, var_index[("v", k)]] = -1.0
         senses[r] = "<="
         rhs[r] = eta
-        nnz += c_nnz + int(np.count_nonzero(s.cost)) + 1
     return _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-                   var_index, row_index, nnz, "modified-expected-excess")
+                   var_index, row_index, "modified-expected-excess")
 
 
 def build_dep_absolute_semideviation(problem, rho,
                                      collapse_mean_row=False) -> DepArtifact:
     """Absolute-semideviation extensive form.
 
-    Objective (1-rho) c'x + (1-rho) sum p q'y + rho sum p v with, per
-    scenario, both linking rows
+    Objective c'x + (1-rho) sum p q'y + rho sum p v with, per scenario, both
+    linking rows
 
-        c'x + q_w'y_w           <= v_w
-        c'x + sum_j p_j q_j'y_j <= v_w
+        q_w'y_w           <= v_w      ("excess", w)
+        sum_j p_j q_j'y_j <= v_w      ("mean_link", w)
 
-    and v free.  The mean row is emitted once per scenario, as stated; with
-    collapse_mean_row=True an auxiliary mean-cost variable is defined once
-    and aliased to each v_w instead (same optimum, fewer dense rows).
+    and v free.  The first-stage cost stays out of the rows because both
+    arguments of the semideviation's max carry it and the probabilities
+    sum to one:
+
+        (1-rho)(c'x + sum p q'y) + rho sum_w p_w max(c'x + q_w'y_w, c'x + sum_j p_j q_j'y_j)
+          = c'x + (1-rho) sum p q'y + rho sum_w p_w max(q_w'y_w, sum_j p_j q_j'y_j)
+
+    so v_w here is the total-cost v_w less c'x, and the optimum is the
+    same.  The mean row is emitted once per scenario, as stated; with
+    collapse_mean_row=True a free mean-cost variable m is defined once by
+    sum_j p_j q_j'y_j = m ("mean_def") and each mean link reads m <= v_w
+    instead (same optimum, fewer dense rows).
     """
     require_valid(problem)
     S = problem.num_scenarios
-    c = problem.first_stage_cost
     p = problem.probabilities
     num_links = 2 * S if not collapse_mean_row else (2 * S + 1)
     num_aux = 0 if not collapse_mean_row else 1
     (lhs, rhs, senses, obj, lower, upper, binary,
-     var_index, row_index, nnz) = _layout(problem, num_links, S, True, num_aux)
-    obj[var_index["x"]] = (1.0 - rho) * c
+     var_index, row_index) = _layout(problem, num_links, S, True, num_aux)
+    obj[var_index["x"]] = problem.first_stage_cost
     base = problem.m1 + S * problem.m2
-    c_nnz = int(np.count_nonzero(c))
     for k, s in enumerate(problem.scenarios):
         obj[var_index[("y", k)]] = (1.0 - rho) * s.probability * s.cost
         obj[var_index[("v", k)]] = rho * s.probability
         r = base + k
         row_index[("excess", k)] = r
-        lhs[r, var_index["x"]] = c
         lhs[r, var_index[("y", k)]] = s.cost
         lhs[r, var_index[("v", k)]] = -1.0
         senses[r] = "<="
-        nnz += c_nnz + int(np.count_nonzero(s.cost)) + 1
 
     if not collapse_mean_row:
         for k in range(S):
             r = base + S + k
             row_index[("mean_link", k)] = r
-            lhs[r, var_index["x"]] = c
             for j, sj in enumerate(problem.scenarios):
                 lhs[r, var_index[("y", j)]] = p[j] * sj.cost
-                nnz += int(np.count_nonzero(p[j] * sj.cost))
             lhs[r, var_index[("v", k)]] = -1.0
             senses[r] = "<="
-            nnz += c_nnz + 1
     else:
         aux = lhs.shape[1] - 1
         var_index["mean_cost"] = aux
         lower[aux] = -np.inf
         r = base + S
         row_index["mean_def"] = r
-        lhs[r, var_index["x"]] = c
         for j, sj in enumerate(problem.scenarios):
             lhs[r, var_index[("y", j)]] = p[j] * sj.cost
-            nnz += int(np.count_nonzero(p[j] * sj.cost))
         lhs[r, aux] = -1.0
         senses[r] = "="
-        nnz += c_nnz + 1
         for k in range(S):
             rr = base + S + 1 + k
             row_index[("mean_link", k)] = rr
             lhs[rr, aux] = 1.0
             lhs[rr, var_index[("v", k)]] = -1.0
             senses[rr] = "<="
-            nnz += 2
     return _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-                   var_index, row_index, nnz, "absolute-semideviation")
+                   var_index, row_index, "absolute-semideviation")
 
 
 BUILDERS = {
@@ -260,7 +259,7 @@ def pin_first_stage(artifact: DepArtifact, x) -> DepArtifact:
     return DepArtifact(
         program=MixedBinaryProgram(lp=new_lp, binary=artifact.program.binary.copy()),
         var_index=artifact.var_index, row_index=artifact.row_index,
-        structural_nnz=artifact.structural_nnz, measure=artifact.measure,
+        measure=artifact.measure,
     )
 
 
@@ -273,5 +272,5 @@ def relax_second_stage(artifact: DepArtifact) -> DepArtifact:
     return DepArtifact(
         program=MixedBinaryProgram(lp=artifact.program.lp, binary=binary),
         var_index=artifact.var_index, row_index=artifact.row_index,
-        structural_nnz=artifact.structural_nnz, measure=artifact.measure,
+        measure=artifact.measure,
     )

@@ -16,6 +16,10 @@ from riskshed.backend import (
     MixedBinaryProgram, ScipyBackend, SimplexBackend, get_backend, write_mps,
 )
 from riskshed.backend import bnb, simplex
+from riskshed.dep import build_dep_expectation
+from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
+from riskshed.model import RiskMeasure, RiskSpec
+from riskshed.oracle import brute_force_optimum
 
 
 def random_lp(rng, n=6, m=4):
@@ -143,6 +147,20 @@ def test_bnb_node_cap_reports_bound():
     if sol.status == NODE_CAP:
         full = bnb.solve_mip(mip)
         assert sol.bound <= full.objective + 1e-9
+
+
+@pytest.mark.parametrize("backend", ["scipy", "reference"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_loose_gap_bound_is_proven(backend, seed):
+    # At a 5% gap HiGHS stops above the optimum on both instances and the
+    # reference B&B on seed 4; the bound must still lie below the optimum.
+    problem = generate_knapsack(KnapsackGenSpec(5, 6, 3, seed=seed, m1=3, m2=4))
+    optimum = brute_force_optimum(problem, RiskSpec(RiskMeasure.EXPECTATION)).objective
+    sol = get_backend(backend).solve_mip(build_dep_expectation(problem).program,
+                                         gap_tol=0.05)
+    assert sol.status == OPTIMAL
+    assert sol.bound <= optimum + 1e-9 <= sol.objective + 2e-9
+    assert sol.objective - sol.bound <= 0.05 * abs(sol.objective) + 1e-9
 
 
 def test_get_backend_resolution():

@@ -9,9 +9,10 @@ import zlib
 import numpy as np
 import pytest
 
-from riskshed import cli, fileio
+from riskshed import cli, fileio, util
 from riskshed.knapsack import KnapsackGenSpec, audit_dimensions, generate_knapsack
-from riskshed.model import Scenario, TwoStageProblem
+from riskshed.model import RiskMeasure, RiskSpec, Scenario, TwoStageProblem
+from riskshed.oracle import brute_force_optimum
 
 
 def run(*argv):
@@ -71,6 +72,23 @@ def test_solve_dep_writes_result_history_manifest(knap_file, tmp_path, capsys):
     assert manifest["config"]["risk"] == "neutral"
     assert knap_file in manifest["inputs"]
 
+
+
+def test_solve_dep_at_a_gap_reports_the_proven_bound(knap_file, tmp_path):
+    out = str(tmp_path / "g.result.json")
+    assert run("solve", "--in", knap_file, "--risk", "neutral", "--mip-gap",
+               "0.05", "--backend", "scipy", "--out", out) == 0
+    doc = fileio.load_result(out)
+    optimum = brute_force_optimum(fileio.load_problem(knap_file).problem,
+                                  RiskSpec(RiskMeasure.EXPECTATION)).objective
+    assert doc["status"] == "optimal"
+    assert doc["lower"] <= optimum <= doc["objective"] == doc["upper"]
+    assert doc["lower"] < doc["objective"]      # HiGHS stops short here
+    assert doc["gap_percent"] == util.gap_percent(doc["lower"], doc["objective"])
+    with open(str(tmp_path / "g.history.csv"), newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["lower"]) == doc["lower"]
+    assert float(row["gap"]) == doc["objective"] - doc["lower"]
 
 def test_solve_methods_agree(knap_file, tmp_path):
     outs = {}

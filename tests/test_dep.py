@@ -15,6 +15,7 @@ from riskshed.dep import (
     pin_first_stage, relax_second_stage,
 )
 from riskshed.model import RiskMeasure, RiskSpec, evaluate_objective
+from riskshed.mssop import build_mssop_two_stage, generate_mssop_instance
 
 from conftest import covering_problem, greedy_feasible_point
 
@@ -65,7 +66,6 @@ def test_structural_nnz_matches_matrix():
             lp = art.program.lp
             assert nv == lp.num_vars and nc == lp.num_rows
             assert nnz == int(np.count_nonzero(lp.lhs))
-            assert art.structural_nnz == nnz
 
 
 def test_expectation_layout():
@@ -110,12 +110,31 @@ def test_asd_builder_two_rows_free_v():
         assert np.all(np.isneginf(art.program.lp.lower[sl]))
 
 
+def test_asd_linking_rows_leave_first_stage_out():
+    rng = np.random.default_rng(46)
+    problem = covering_problem(rng, num_scenarios=3)
+    for collapse in (False, True):
+        art = build_dep_absolute_semideviation(problem, 0.7,
+                                               collapse_mean_row=collapse)
+        lhs, xsl = art.program.lp.lhs, art.var_index["x"]
+        rows = [r for key, r in art.row_index.items()
+                if key == "mean_def"
+                or isinstance(key, tuple) and key[0] in ("excess", "mean_link")]
+        assert len(rows) == 2 * 3 + collapse
+        assert not lhs[rows, xsl].any()
+        assert np.array_equal(art.program.lp.objective[xsl],
+                              problem.first_stage_cost)
+
+
 def test_asd_collapsed_equals_dense():
     rng = np.random.default_rng(43)
     backend = ScipyBackend()
-    for trial in range(4):
-        problem = covering_problem(rng, num_scenarios=int(rng.integers(2, 5)))
-        rho = float(rng.uniform(0.2, 0.9))
+    cases = [(covering_problem(rng, num_scenarios=int(rng.integers(2, 5))),
+              float(rng.uniform(0.2, 0.9))) for _ in range(4)]
+    # continuous first stage with a nonzero cost
+    ordering = build_mssop_two_stage(generate_mssop_instance(2, 3, 3, seed=2))
+    cases.append((ordering.problem, 0.6))
+    for problem, rho in cases:
         dense = build_dep_absolute_semideviation(problem, rho)
         sparse = build_dep_absolute_semideviation(problem, rho,
                                                   collapse_mean_row=True)
