@@ -14,9 +14,7 @@ evaluation of candidate first stages:
 Lower-bound updates are only accepted while eta stays at or below the
 risk-neutral value.  The bound chain needs eta <= mean total cost of every
 candidate, and the risk-neutral optimum is a floor for those means, so this
-is the cheapest certificate that holds uniformly; pushing eta higher can
-tighten the master but voids the certificate, hence the heuristic_lb
-escape hatch is off by default.
+is the cheapest certificate that holds uniformly.
 
 Once the target stops moving, iterations mostly repeat earlier work: the
 same candidate is evaluated again, the same cuts come back, and the same
@@ -57,7 +55,6 @@ class AsdBoundsConfig:
     epsilon: float | None = None        # default 1e-4 * max(1, |Q_E|)
     xi: float | None = None             # default 0.01 * max(1, |Q_E|)
     max_iters: int = 50
-    heuristic_lb: bool = False          # accept LB candidates with eta above Q_E
     classic_cuts: bool = True           # also cut at each new iterate
     init_lshaped_iters: int = 60
     init_tol: float = 1e-6
@@ -254,10 +251,8 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
             candidate = msol.objective + config.rho * state.eta
             eta_ok = state.eta <= state.q_expectation + MEMBERSHIP_TOL * max(
                 1.0, abs(state.q_expectation))
-            if (eta_ok or config.heuristic_lb) and candidate > state.lower:
+            if eta_ok and candidate > state.lower:
                 state.lower = min(candidate, state.upper)
-                if not eta_ok:
-                    event = "heuristic_lb"
 
         x_new = np.asarray(msol.x[:problem.n1]).copy()
         if problem.first_stage_integrality.any():

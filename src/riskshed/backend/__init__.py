@@ -3,23 +3,26 @@
 Two interchangeable backends sit behind the same contract:
 
 * ``SimplexBackend`` is the reference implementation written here (bounded
-  two-phase simplex plus branch and bound).  It is the normative backend for
-  the test suite and the default everywhere.
-* ``ScipyBackend`` adapts scipy's HiGHS wrappers.  It is the allowed
-  external-solver plug-in, used for heavy extensive forms and as an
-  independent oracle when testing the reference code.
+  two-phase simplex plus branch and bound).  ``get_backend(None)`` returns
+  it.
+* ``ScipyBackend`` runs HiGHS through scipy.  It is the workhorse: the
+  extensive forms, the bounding driver and the acceptance suite solve on
+  it, and the CLI picks it by default (``--backend auto``).
 
 ``get_backend`` resolves ``None``/names to instances.  ``MemoBackend``
 wraps either one and answers repeated programs from memory.
 """
 from __future__ import annotations
 
+import warnings
+
 from . import bnb, simplex
 from .memo import MemoBackend
 from .mps import write_mps
 from .program import (
-    INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, Backend, LinearProgram,
-    LpSolution, MipSolution, MixedBinaryProgram, NumericalFailure, SolveStats,
+    DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, Backend,
+    LinearProgram, LpSolution, MipSolution, MixedBinaryProgram,
+    NumericalFailure, SolveStats,
 )
 
 __all__ = [
@@ -28,6 +31,12 @@ __all__ = [
     "ScipyBackend", "MemoBackend", "get_backend", "write_mps",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED", "NODE_CAP",
 ]
+
+# scipy's milp warns on every call that it hands this option to HiGHS
+# verbatim; the scipy backend sets it on purpose (see scipy_backend).
+warnings.filterwarnings(
+    "ignore", r"Unrecognized options detected: "
+    r"\{'mip_heuristic_run_feasibility_jump'\}", RuntimeWarning)
 
 
 class SimplexBackend(Backend):
@@ -41,7 +50,7 @@ class SimplexBackend(Backend):
         self.stats.lp_iterations += sol.iterations
         return sol
 
-    def solve_mip(self, mip, gap_tol=0.0, node_cap=bnb.DEFAULT_NODE_CAP):
+    def solve_mip(self, mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP):
         sol = bnb.solve_mip(mip, gap_tol=gap_tol, node_cap=node_cap)
         self.stats.mip_solves += 1
         self.stats.nodes += sol.nodes
@@ -62,7 +71,7 @@ class ScipyBackend(Backend):
         self.stats.lp_iterations += sol.iterations
         return sol
 
-    def solve_mip(self, mip, gap_tol=0.0, node_cap=bnb.DEFAULT_NODE_CAP):
+    def solve_mip(self, mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP):
         from . import scipy_backend
 
         sol = scipy_backend.solve_mip(mip, gap_tol=gap_tol, node_cap=node_cap)

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .program import (
-    INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram, MipSolution,
-    MixedBinaryProgram,
+    DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram,
+    MipSolution, MixedBinaryProgram,
 )
 from . import simplex
 
 INT_TOL = 1e-7          # binary values within this of {0,1} count as integral
 PRUNE_SLACK = 1e-10
-DEFAULT_NODE_CAP = 100_000
 
 
 @dataclass(order=True)

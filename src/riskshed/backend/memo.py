@@ -18,8 +18,7 @@ import threading
 
 import numpy as np
 
-from .bnb import DEFAULT_NODE_CAP
-from .program import Backend
+from .program import DEFAULT_NODE_CAP, Backend
 
 
 def _digest(lp, binary=None, options=()):

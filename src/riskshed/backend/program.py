@@ -12,6 +12,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NODE_CAP = "node_cap"
 
+DEFAULT_NODE_CAP = 100_000      # branch-and-bound nodes per MIP solve
+
 
 class NumericalFailure(RuntimeError):
     """The solver could not certify its answer within tolerances."""
@@ -167,5 +169,5 @@ class Backend:
         raise NotImplementedError
 
     def solve_mip(self, mip: MixedBinaryProgram, gap_tol: float = 0.0,
-                  node_cap: int = 100_000) -> MipSolution:
+                  node_cap: int = DEFAULT_NODE_CAP) -> MipSolution:
         raise NotImplementedError

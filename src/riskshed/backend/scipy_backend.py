@@ -1,9 +1,19 @@
-"""Optional adapter backing the solver contract with scipy's HiGHS wrappers.
+"""The HiGHS backend, through scipy's ``linprog`` and ``milp``.
 
-Used as the independent cross-check oracle for the reference simplex and as
-the workhorse for the larger extensive forms, where a pure-Python simplex
-would be needlessly slow.  Duals are remapped to the package convention
-(>= rows nonnegative, <= rows nonpositive, minimization).
+scipy is a hard dependency and this is the backend every heavy solve runs
+on: extensive forms, the bounding driver and the acceptance suite.  Duals
+are remapped to the package convention (>= rows nonnegative, <= rows
+nonpositive, minimization).
+
+Every MIP solve gets the caller's relative gap and node cap plus one fixed
+HiGHS setting: the feasibility-jump primal heuristic is off.  The programs
+solved here are small and come by the thousand, and the heuristic's
+start-up took several times longer than the solve itself.  ``milp`` passes
+the option to HiGHS unchanged but warns about it on every call;
+``riskshed.backend`` filters that one warning on import, before this
+module (imported on first use, as scipy.optimize is slow to load) runs.
+A solve that stops on a HiGHS error is retried once without presolve,
+with the same settings.
 """
 from __future__ import annotations
 
@@ -11,8 +21,8 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from .program import (
-    INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LpSolution, MipSolution,
-    NumericalFailure,
+    DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LpSolution,
+    MipSolution, NumericalFailure,
 )
 
 
@@ -69,7 +79,7 @@ def solve_lp(lp, max_iter=None) -> LpSolution:
                       duals=duals, reduced_costs=reduced, iterations=iters)
 
 
-def solve_mip(mip, gap_tol=0.0, node_cap=100_000) -> MipSolution:
+def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
     lp = mip.lp
     is_le = np.array([s == "<=" for s in lp.senses], dtype=bool)
     is_ge = np.array([s == ">=" for s in lp.senses], dtype=bool)
@@ -80,20 +90,24 @@ def solve_mip(mip, gap_tol=0.0, node_cap=100_000) -> MipSolution:
     constraints = (
         [sciopt.LinearConstraint(lp.lhs, lb, ub)] if lp.num_rows else []
     )
-    options = {"mip_rel_gap": float(gap_tol), "node_limit": int(node_cap)}
+    options = {"mip_rel_gap": float(gap_tol), "node_limit": int(node_cap),
+               # Feasibility jump takes ~8 ms to start on every call (HiGHS
+               # 1.12, 2-core x86_64), more than these small MIPs take.
+               "mip_heuristic_run_feasibility_jump": False}
 
-    def run():
+    def run(**extra):
+        # milp pops keys from the dict it is given: pass a fresh one.
         return sciopt.milp(c=lp.objective, constraints=constraints,
                            integrality=mip.binary.astype(int),
-                           bounds=sciopt.Bounds(lower, upper), options=options)
+                           bounds=sciopt.Bounds(lower, upper),
+                           options={**options, **extra})
 
     res = run()
     if res.status == 4:
         # HiGHS can hit a solve error on small, badly scaled masters after
         # presolve (knapsack seed 659's bounding master); the unpresolved
         # model solves cleanly.
-        options["presolve"] = False
-        res = run()
+        res = run(presolve=False)
     if res.status == 2:
         return MipSolution(status=INFEASIBLE)
     if res.status == 3:

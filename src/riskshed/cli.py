@@ -257,8 +257,8 @@ def _solve_rm_asd(cfg, problem, backend):
     try:
         config = AsdBoundsConfig(
             rho=cfg["rho"], epsilon=cfg["epsilon"], xi=cfg["xi"],
-            max_iters=cfg["max_iters"], heuristic_lb=cfg["heuristic_lb"],
-            backend=backend, threads=cfg["threads"])
+            max_iters=cfg["max_iters"], backend=backend,
+            threads=cfg["threads"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     state = rm_asd_solve(problem, config)
@@ -535,8 +535,7 @@ def _config_from_args(args):
                 "tol": args.tol, "max_iters": args.max_iters,
                 "multicut": args.multicut,
                 "collapse_mean_row": args.collapse_mean_row,
-                "epsilon": args.epsilon, "xi": args.xi,
-                "heuristic_lb": args.heuristic_lb}
+                "epsilon": args.epsilon, "xi": args.xi}
     if sub == "simulate":
         return {"in": args.infile, "plan": args.plan, "reps": args.reps,
                 "seed": args.seed, "zero_demand": args.zero_demand,
@@ -610,9 +609,6 @@ def build_parser():
                    help="absolute gap target for the bounding driver")
     s.add_argument("--xi", type=float, default=None,
                    help="target adjustment step for the bounding driver")
-    s.add_argument("--heuristic-lb", dest="heuristic_lb",
-                   action="store_true",
-                   help="keep master bounds even past the validity guard")
     s.add_argument("--out", required=True, help="result file to write")
 
     sim = sub.add_parser("simulate", help="simulate a plan on fresh demand")

@@ -214,14 +214,6 @@ def test_iteration_cap_status():
         assert len(state.history) == 2
 
 
-def test_heuristic_lb_flag_keeps_running():
-    problem = small_knapsack(17)
-    state = rm_asd_solve(problem, AsdBoundsConfig(
-        rho=0.5, max_iters=10, heuristic_lb=True, backend=ScipyBackend()))
-    assert state.lower <= state.upper + 1e-12
-    assert state.status in ("converged", "iteration_cap")
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         AsdBoundsConfig(rho=1.5)

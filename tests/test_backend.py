@@ -7,6 +7,7 @@ well-conditioned.
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from riskshed.backend import (
     INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram, MemoBackend,
     MixedBinaryProgram, ScipyBackend, SimplexBackend, get_backend, write_mps,
 )
-from riskshed.backend import bnb, simplex
+from riskshed.backend import bnb, scipy_backend, simplex
 from riskshed.dep import build_dep_expectation
 from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
 from riskshed.model import RiskMeasure, RiskSpec
@@ -99,14 +100,17 @@ def test_equality_rows_and_free_variables():
     assert abs(sol.x[0] - sol.x[1] - 1.0) < 1e-9
 
 
-def test_bnb_hand_knapsack():
+def _hand_knapsack():
     # max 5a + 4b + 3c, 2a + 3b + c <= 5 binary -> a=b=1, value 9
-    mip = MixedBinaryProgram(
+    return MixedBinaryProgram(
         lp=LinearProgram(objective=[-5.0, -4.0, -3.0], lhs=[[2.0, 3.0, 1.0]],
                          senses=["<="], rhs=[5.0], lower=np.zeros(3),
                          upper=np.ones(3)),
         binary=np.ones(3, dtype=bool))
-    sol = bnb.solve_mip(mip)
+
+
+def test_bnb_hand_knapsack():
+    sol = bnb.solve_mip(_hand_knapsack())
     assert sol.status == OPTIMAL
     assert abs(sol.objective - (-9.0)) < 1e-9
     assert np.allclose(sol.x, [1.0, 1.0, 0.0])
@@ -161,6 +165,31 @@ def test_loose_gap_bound_is_proven(backend, seed):
     assert sol.status == OPTIMAL
     assert sol.bound <= optimum + 1e-9 <= sol.objective + 2e-9
     assert sol.objective - sol.bound <= 0.05 * abs(sol.objective) + 1e-9
+
+
+def test_scipy_mip_settings_survive_the_presolve_retry(monkeypatch):
+    real, seen = scipy_backend.sciopt.milp, []
+
+    def milp(**kwargs):
+        seen.append(dict(kwargs["options"]))
+        res = real(**kwargs)
+        if len(seen) == 1:
+            res.status = 4      # a HiGHS solve error: forces the retry
+        return res
+
+    monkeypatch.setattr(scipy_backend.sciopt, "milp", milp)
+    sol = ScipyBackend().solve_mip(_hand_knapsack(), gap_tol=0.01, node_cap=7)
+    assert sol.status == OPTIMAL and abs(sol.objective + 9.0) < 1e-9
+    fixed = {"mip_rel_gap": 0.01, "node_limit": 7,
+             "mip_heuristic_run_feasibility_jump": False}
+    assert seen == [fixed, {**fixed, "presolve": False}]
+
+
+def test_scipy_mip_raises_no_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        sol = ScipyBackend().solve_mip(_hand_knapsack())
+    assert sol.status == OPTIMAL
+    assert [str(w.message) for w in caught] == []
 
 
 def test_get_backend_resolution():

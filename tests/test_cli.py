@@ -4,7 +4,10 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +317,60 @@ def test_rerun_reproduces_bytes(knap_file, tmp_path):
     original = open(out, "rb").read()
     replayed = open(os.path.join(replay_dir, "asd.result.json"), "rb").read()
     assert replayed == original
+
+
+def test_rerun_ignores_a_removed_config_key(knap_file, tmp_path):
+    # Manifests written before --heuristic-lb was removed still carry it.
+    out = str(tmp_path / "a" / "rm.result.json")
+    os.makedirs(tmp_path / "a")
+    code = run("solve", "--in", knap_file, "--risk", "asd", "--rho", "0.5",
+               "--method", "rm-asd", "--max-iters", "4", "--backend",
+               "scipy", "--out", out)
+    manifest = out + cli.MANIFEST_SUFFIX
+    doc = json.load(open(manifest))
+    doc["config"]["heuristic_lb"] = False
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    replay_dir = str(tmp_path / "b")
+    assert run("rerun", "--manifest", manifest, "--out-dir", replay_dir) == code
+    replayed = open(os.path.join(replay_dir, "rm.result.json"), "rb").read()
+    assert replayed == open(out, "rb").read()
+
+
+def _without_wall_time(path):
+    with open(path, newline="") as fh:
+        return [{k: v for k, v in row.items() if k != "wall_time"}
+                for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("method", ["dep", "rm-asd"])
+def test_two_threads_replay_one_thread(knap_file, tmp_path, method):
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}" / "asd.result.json"
+        out.parent.mkdir()
+        code = run("solve", "--in", knap_file, "--risk", "asd", "--rho",
+                   "0.5", "--method", method, "--max-iters", "8",
+                   "--threads", threads, "--backend", "scipy",
+                   "--out", str(out))
+        history = out.parent / "asd.history.csv"
+        results.append((code, out.read_bytes(), _without_wall_time(history)))
+    assert results[0][0] in (0, 4)
+    assert results[1] == results[0]
+
+
+def test_cli_solve_writes_nothing_to_stderr(knap_file, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "riskshed", "solve", "--in", knap_file,
+         "--risk", "asd", "--rho", "0.5", "--method", "rm-asd",
+         "--max-iters", "25", "--epsilon", "5.0", "--backend", "scipy",
+         "--out", str(tmp_path / "rm.result.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_rerun_gen_reproduces_problem_bytes(knap_file, tmp_path):
