@@ -1,4 +1,4 @@
-"""Matrix-form programs and solution records shared by all backends."""
+"""Matrix-form programs, solution records and the backend contract."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field

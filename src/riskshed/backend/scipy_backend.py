@@ -1,9 +1,9 @@
 """The HiGHS backend, through scipy's ``linprog`` and ``milp``.
 
-scipy is a hard dependency and this is the backend every heavy solve runs
-on: extensive forms, the bounding driver and the acceptance suite.  Duals
-are remapped to the package convention (>= rows nonnegative, <= rows
-nonpositive, minimization).
+scipy is a hard dependency and HiGHS is the package's one solver: every
+LP and MIP the package solves runs here.  Duals are remapped to the
+package convention (>= rows nonnegative, <= rows nonpositive,
+minimization).
 
 Every MIP solve gets the caller's relative gap and node cap plus one fixed
 HiGHS setting: the feasibility-jump primal heuristic is off.  The programs
@@ -12,8 +12,9 @@ start-up took several times longer than the solve itself.  ``milp`` passes
 the option to HiGHS unchanged but warns about it on every call;
 ``riskshed.backend`` filters that one warning on import, before this
 module (imported on first use, as scipy.optimize is slow to load) runs.
-A solve that stops on a HiGHS error is retried once without presolve,
-with the same settings.
+A solve that stops at the node cap returns ``NODE_CAP`` with HiGHS's dual
+bound and the incumbent, if any.  A solve that stops on any other HiGHS
+error is retried once without presolve, with the same settings.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ def _split_rows(lp):
     return (A_ub, b_ub, ub_map), (A_eq, b_eq, eq_map)
 
 
-def solve_lp(lp, max_iter=None) -> LpSolution:
+def solve_lp(lp) -> LpSolution:
     (A_ub, b_ub, ub_map), (A_eq, b_eq, eq_map) = _split_rows(lp)
     bounds = list(zip(lp.lower, lp.upper))
     res = sciopt.linprog(
@@ -102,8 +103,13 @@ def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
                            bounds=sciopt.Bounds(lower, upper),
                            options={**options, **extra})
 
+    def capped(res):
+        # scipy 1.17 reports HiGHS's node-limit stop (its "solution limit",
+        # status 16) as status 4; older scipy reports status 1.
+        return res.status == 1 or (res.status == 4 and _nodes(res) >= node_cap)
+
     res = run()
-    if res.status == 4:
+    if res.status == 4 and not capped(res):
         # HiGHS can hit a solve error on small, badly scaled masters after
         # presolve (knapsack seed 659's bounding master); the unpresolved
         # model solves cleanly.
@@ -112,8 +118,8 @@ def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
         return MipSolution(status=INFEASIBLE)
     if res.status == 3:
         return MipSolution(status=UNBOUNDED)
-    nodes = int(getattr(res, "mip_node_count", 0) or 0)
-    if res.status == 1:   # iteration / node limit
+    nodes = _nodes(res)
+    if capped(res):
         bound = getattr(res, "mip_dual_bound", None)
         if res.x is None:
             return MipSolution(status=NODE_CAP, bound=bound, nodes=nodes)
@@ -128,6 +134,10 @@ def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
     dual = getattr(res, "mip_dual_bound", None)
     bound = obj if dual is None or not np.isfinite(dual) else min(float(dual), obj)
     return MipSolution(status=OPTIMAL, objective=obj, x=x, bound=bound, nodes=nodes)
+
+
+def _nodes(res):
+    return int(getattr(res, "mip_node_count", 0) or 0)
 
 
 def _snap(x, binary):

@@ -284,7 +284,10 @@ _HISTORY_FIELDS = {
 def run_solve(cfg):
     _validate_solve(cfg)
     pf = fileio.load_problem(cfg["in"])
-    backend = get_backend(cfg["backend"])
+    try:
+        backend = get_backend(cfg["backend"])
+    except ValueError as exc:     # a manifest naming a removed backend
+        raise UsageError(str(exc)) from None
     cfg["backend"] = backend.name
     if cfg["max_iters"] is None:
         cfg["max_iters"] = 50 if cfg["method"] == "rm-asd" else 200
@@ -591,8 +594,8 @@ def build_parser():
                    help="excess target (ee and mod-ee only)")
     s.add_argument("--method", default="dep",
                    choices=("dep", "lshaped", "rm-asd"))
-    s.add_argument("--backend", default="auto",
-                   help="reference | scipy | auto")
+    s.add_argument("--backend", default="scipy", choices=("scipy",),
+                   help="solver (HiGHS through scipy)")
     s.add_argument("--threads", type=int, default=None,
                    help="worker cap; RISKSHED_THREADS as fallback")
     s.add_argument("--mip-gap", dest="mip_gap", type=float, default=1e-6)

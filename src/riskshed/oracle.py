@@ -3,8 +3,11 @@
 Everything here recomputes values through a separate route from the
 production paths: first stages are enumerated exhaustively, risk values
 are spelled out inline from per-scenario totals, and the freight envelope
-is derived from vertex enumeration rather than the ordering MILP.  Scale
-caps keep enumeration honest; anything larger is refused, not sampled.
+is derived from vertex enumeration rather than the ordering MILP.  A
+scenario whose recourse columns are all binary is valued by enumerating
+every y too, so on such problems the optimum involves no solver at all;
+continuous or mixed recourse is solved on the backend.  Scale caps keep
+enumeration honest; anything larger is refused, not sampled.
 """
 from __future__ import annotations
 
@@ -17,7 +20,11 @@ import numpy as np
 
 from .backend import get_backend
 from .lshaped import solve_subproblems
-from .model import RiskMeasure, RiskSpec, TwoStageProblem, scenario_costs
+from .model import (
+    InfeasibleSecondStage, RiskMeasure, RiskSpec, TwoStageProblem,
+    evaluate_scenario_cost,
+)
+from .util import map_ordered, resolve_threads
 
 MAX_N1 = 12
 MAX_N2 = 12
@@ -51,6 +58,32 @@ class OracleResult:
     values_at_optimum: dict
 
 
+def _recourse_table(scenario):
+    """(W y, q'y) for every y in {0,1}^n2, one row per y, when every
+    recourse column is binary; None when the scenario needs the solver."""
+    if not scenario.integrality.all():
+        return None
+    ys = np.array(list(itertools.product((0.0, 1.0), repeat=scenario.n2)))
+    return ys @ scenario.recourse.T, ys @ scenario.cost
+
+
+def _recourse_costs(problem, x, tables, backend, threads):
+    """Exact second-stage cost per scenario at x, by table or by solver."""
+    def value(k):
+        if tables[k] is None:
+            return evaluate_scenario_cost(problem, x, k, backend=backend)
+        have, cost = tables[k]
+        s = problem.scenarios[k]
+        fits = (have >= s.rhs - s.technology @ x - FEAS_TOL).all(axis=1)
+        if not fits.any():
+            raise InfeasibleSecondStage(
+                f"scenario {k} has no feasible recourse at x={x.tolist()}")
+        return float(cost[fits].min())
+
+    return np.array(map_ordered(value, range(problem.num_scenarios),
+                                threads=resolve_threads(threads)))
+
+
 def _measure_value(totals, p, measure, rho, eta, first_stage_cost, excess_on):
     # deliberately restated from first principles, not shared with model.py
     mean = float(np.dot(p, totals))
@@ -77,7 +110,9 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
     """Exhaustive minimization over binary first stages.
 
     Enumerates lexicographically and keeps the first strict minimizer, so
-    ties resolve to the lexicographically smallest x.
+    ties resolve to the lexicographically smallest x.  Each scenario's
+    ``integrality`` picks its recourse route: all binary is enumerated,
+    anything else is solved on ``backend``.
     """
     if problem.n1 > MAX_N1 or problem.n2 > MAX_N2:
         raise ScaleRefused(f"n1={problem.n1}, n2={problem.n2} "
@@ -88,6 +123,7 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
     if not problem.first_stage_integrality.all():
         raise ScaleRefused("enumeration needs an all-binary first stage")
     backend = get_backend(backend)
+    tables = [_recourse_table(s) for s in problem.scenarios]
     p = problem.probabilities
     best_x = None
     best_val = np.inf
@@ -99,8 +135,7 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
             continue
         feasible += 1
         cx = float(problem.first_stage_cost @ x)
-        totals = cx + scenario_costs(problem, x, backend=backend,
-                                     threads=threads)
+        totals = cx + _recourse_costs(problem, x, tables, backend, threads)
         val = _measure_value(totals, p, spec.measure, spec.rho, spec.eta,
                              cx, excess_on)
         if best_x is None or val < best_val - 1e-12 * max(1.0, abs(best_val)):

@@ -2,8 +2,8 @@
 
 The covering family below is the workhorse: all data negative, so y = 0 is
 feasible in every scenario (complete recourse by construction) and x = 0 is
-feasible in the first stage.  Problems stay small enough for the reference
-backend and the brute-force oracles.
+feasible in the first stage.  Problems stay small enough for the
+brute-force oracles.
 """
 import numpy as np
 import pytest

@@ -1,7 +1,8 @@
-"""Solver backends: reference simplex and branch-and-bound vs scipy/HiGHS.
+"""The solver backend (HiGHS through scipy), its memo wrapper and MPS export.
 
-The reference backend is the normative one; scipy acts as the independent
-oracle.  Random programs are drawn with bounded data so both backends stay
+Expected answers come from outside the solver: hand-worked programs,
+strong duality checked from the returned duals, and the enumeration
+oracle.  Random programs are drawn with bounded data so they stay
 well-conditioned.
 """
 import sys
@@ -14,9 +15,9 @@ import pytest
 
 from riskshed.backend import (
     INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram, MemoBackend,
-    MixedBinaryProgram, ScipyBackend, SimplexBackend, get_backend, write_mps,
+    MixedBinaryProgram, ScipyBackend, get_backend, write_mps,
 )
-from riskshed.backend import bnb, scipy_backend, simplex
+from riskshed.backend import scipy_backend
 from riskshed.dep import build_dep_expectation
 from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
 from riskshed.model import RiskMeasure, RiskSpec
@@ -36,7 +37,7 @@ def random_lp(rng, n=6, m=4):
     )
 
 
-def test_simplex_hand_lp():
+def test_hand_lp_with_duals():
     # min -x1 - 2 x2  s.t.  x1 + x2 <= 3, x2 <= 2, x >= 0 -> (1, 2), -5
     lp = LinearProgram(
         objective=[-1.0, -2.0],
@@ -46,7 +47,7 @@ def test_simplex_hand_lp():
         lower=[0.0, 0.0],
         upper=[np.inf, np.inf],
     )
-    sol = simplex.solve_lp(lp)
+    sol = ScipyBackend().solve_lp(lp)
     assert sol.status == OPTIMAL
     assert abs(sol.objective - (-5.0)) < 1e-9
     assert np.allclose(sol.x, [1.0, 2.0], atol=1e-9)
@@ -54,11 +55,12 @@ def test_simplex_hand_lp():
     assert np.allclose(sol.duals, [-1.0, -1.0], atol=1e-9)
 
 
-def test_simplex_duals_certify_objective():
+def test_lp_duals_certify_objective():
     rng = np.random.default_rng(3)
+    backend = ScipyBackend()
     for trial in range(25):
         lp = random_lp(rng)
-        sol = simplex.solve_lp(lp)
+        sol = backend.solve_lp(lp)
         assert sol.status == OPTIMAL
         # strong duality with bound terms: c'x = y'b + l'max(rc,0) + u'min(rc,0)
         rc = lp.objective - lp.lhs.T @ sol.duals
@@ -69,24 +71,14 @@ def test_simplex_duals_certify_objective():
         assert abs(dual_obj - sol.objective) < 1e-7 * max(1.0, abs(sol.objective))
 
 
-def test_simplex_vs_scipy_objectives():
-    rng = np.random.default_rng(11)
-    for trial in range(30):
-        lp = random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)))
-        ours = simplex.solve_lp(lp)
-        ref = ScipyBackend().solve_lp(lp)
-        assert ours.status == ref.status == OPTIMAL
-        assert abs(ours.objective - ref.objective) < 1e-7 * max(1.0, abs(ref.objective))
-
-
-def test_simplex_infeasible_and_unbounded():
+def test_lp_infeasible_and_unbounded():
     bad = LinearProgram(objective=[1.0], lhs=[[1.0], [-1.0]],
                         senses=[">=", ">="], rhs=[2.0, -1.0],
                         lower=[0.0], upper=[np.inf])
-    assert simplex.solve_lp(bad).status == INFEASIBLE
+    assert ScipyBackend().solve_lp(bad).status == INFEASIBLE
     free = LinearProgram(objective=[-1.0], lhs=[[0.0]], senses=["<="],
                          rhs=[1.0], lower=[0.0], upper=[np.inf])
-    assert simplex.solve_lp(free).status == UNBOUNDED
+    assert ScipyBackend().solve_lp(free).status == UNBOUNDED
 
 
 def test_equality_rows_and_free_variables():
@@ -94,7 +86,7 @@ def test_equality_rows_and_free_variables():
     lp = LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, -1.0], [1.0, 1.0]],
                        senses=["=", ">="], rhs=[1.0, 2.0],
                        lower=[0.0, -np.inf], upper=[np.inf, np.inf])
-    sol = simplex.solve_lp(lp)
+    sol = ScipyBackend().solve_lp(lp)
     assert sol.status == OPTIMAL
     assert abs(sol.objective - 2.0) < 1e-9
     assert abs(sol.x[0] - sol.x[1] - 1.0) < 1e-9
@@ -109,59 +101,30 @@ def _hand_knapsack():
         binary=np.ones(3, dtype=bool))
 
 
-def test_bnb_hand_knapsack():
-    sol = bnb.solve_mip(_hand_knapsack())
+def test_mip_hand_knapsack():
+    sol = ScipyBackend().solve_mip(_hand_knapsack())
     assert sol.status == OPTIMAL
     assert abs(sol.objective - (-9.0)) < 1e-9
     assert np.allclose(sol.x, [1.0, 1.0, 0.0])
 
 
-def test_bnb_vs_scipy_random_mips():
-    rng = np.random.default_rng(17)
-    for trial in range(20):
-        n = int(rng.integers(3, 9))
-        m = int(rng.integers(1, 5))
-        lp = random_lp(rng, n=n, m=m)
-        lp.lower = np.zeros(n)
-        lp.upper = np.ones(n)
-        mip = MixedBinaryProgram(lp=lp, binary=rng.random(n) < 0.7)
-        ours = bnb.solve_mip(mip)
-        ref = ScipyBackend().solve_mip(mip)
-        assert ours.status == ref.status == OPTIMAL
-        assert abs(ours.objective - ref.objective) < 1e-6 * max(1.0, abs(ref.objective))
-
-
-def test_bnb_proves_infeasible():
+def test_mip_proves_infeasible():
     mip = MixedBinaryProgram(
         lp=LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, 1.0], [-1.0, -1.0]],
                          senses=[">=", ">="], rhs=[1.5, -0.4],
                          lower=np.zeros(2), upper=np.ones(2)),
         binary=np.ones(2, dtype=bool))
-    assert bnb.solve_mip(mip).status == INFEASIBLE
+    assert ScipyBackend().solve_mip(mip).status == INFEASIBLE
 
 
-def test_bnb_node_cap_reports_bound():
-    rng = np.random.default_rng(5)
-    lp = random_lp(rng, n=14, m=6)
-    lp.lower = np.zeros(14)
-    lp.upper = np.ones(14)
-    mip = MixedBinaryProgram(lp=lp, binary=np.ones(14, dtype=bool))
-    sol = bnb.solve_mip(mip, node_cap=1)
-    assert sol.status in (NODE_CAP, OPTIMAL)
-    if sol.status == NODE_CAP:
-        full = bnb.solve_mip(mip)
-        assert sol.bound <= full.objective + 1e-9
-
-
-@pytest.mark.parametrize("backend", ["scipy", "reference"])
 @pytest.mark.parametrize("seed", [3, 4])
-def test_loose_gap_bound_is_proven(backend, seed):
-    # At a 5% gap HiGHS stops above the optimum on both instances and the
-    # reference B&B on seed 4; the bound must still lie below the optimum.
+def test_loose_gap_bound_is_proven(seed):
+    # At a 5% gap HiGHS stops above the optimum on both instances; the
+    # bound must still lie below the optimum.
     problem = generate_knapsack(KnapsackGenSpec(5, 6, 3, seed=seed, m1=3, m2=4))
     optimum = brute_force_optimum(problem, RiskSpec(RiskMeasure.EXPECTATION)).objective
-    sol = get_backend(backend).solve_mip(build_dep_expectation(problem).program,
-                                         gap_tol=0.05)
+    sol = ScipyBackend().solve_mip(build_dep_expectation(problem).program,
+                                   gap_tol=0.05)
     assert sol.status == OPTIMAL
     assert sol.bound <= optimum + 1e-9 <= sol.objective + 2e-9
     assert sol.objective - sol.bound <= 0.05 * abs(sol.objective) + 1e-9
@@ -185,6 +148,24 @@ def test_scipy_mip_settings_survive_the_presolve_retry(monkeypatch):
     assert seen == [fixed, {**fixed, "presolve": False}]
 
 
+def test_scipy_node_cap_returns_bound_without_retry(monkeypatch):
+    # scipy 1.17 reports HiGHS's node-limit stop as status 4, like a solve
+    # error; it must come back as NODE_CAP, not as a presolve-off retry.
+    real, calls = scipy_backend.sciopt.milp, []
+
+    def milp(**kwargs):
+        calls.append(kwargs["options"].get("presolve", True))
+        return real(**kwargs)
+
+    monkeypatch.setattr(scipy_backend.sciopt, "milp", milp)
+    problem = generate_knapsack(KnapsackGenSpec(10, 20, 10, seed=0, m1=5, m2=5))
+    sol = ScipyBackend().solve_mip(build_dep_expectation(problem).program,
+                                   node_cap=1)
+    assert sol.status == NODE_CAP
+    assert sol.x is not None and sol.bound <= sol.objective
+    assert calls == [True]
+
+
 def test_scipy_mip_raises_no_warning():
     with warnings.catch_warnings(record=True) as caught:
         sol = ScipyBackend().solve_mip(_hand_knapsack())
@@ -193,18 +174,17 @@ def test_scipy_mip_raises_no_warning():
 
 
 def test_get_backend_resolution():
-    assert isinstance(get_backend(None), SimplexBackend)
-    assert isinstance(get_backend("reference"), SimplexBackend)
+    assert isinstance(get_backend(None), ScipyBackend)
     assert isinstance(get_backend("scipy"), ScipyBackend)
-    inst = SimplexBackend()
+    inst = ScipyBackend()
     assert get_backend(inst) is inst
-    assert get_backend("auto").name in ("reference", "scipy")
-    with pytest.raises(ValueError):
-        get_backend("cplex")
+    for name in ("auto", "cplex"):
+        with pytest.raises(ValueError):
+            get_backend(name)
 
 
 def test_backend_stats_accumulate():
-    be = SimplexBackend()
+    be = ScipyBackend()
     lp = LinearProgram(objective=[1.0], lhs=[[1.0]], senses=[">="],
                        rhs=[1.0], lower=[0.0], upper=[np.inf])
     be.solve_lp(lp)
@@ -244,7 +224,7 @@ def test_memo_backend_solves_each_program_once():
 
 
 def test_memo_backend_solves_once_under_threads():
-    class Counting(SimplexBackend):
+    class Counting(ScipyBackend):
         def __init__(self):
             super().__init__()
             self.calls = 0

@@ -164,14 +164,17 @@ def test_infeasible_model_exits_3(tmp_path):
     assert fileio.load_result(out)["status"] == "infeasible"
 
 
-def test_node_cap_exits_4_with_partial_result(knap_file, tmp_path):
+def test_node_cap_exits_4_with_partial_result(tmp_path):
+    path = str(tmp_path / "cap.sp2.json")
+    assert run("gen", "knapsack", "--n1", "10", "--n2", "20", "--scens", "10",
+               "--seed", "0", "--m1", "5", "--m2", "5", "--out", path) == 0
     out = str(tmp_path / "cap.result.json")
-    code = run("solve", "--in", knap_file, "--risk", "neutral",
-               "--backend", "reference", "--node-cap", "1", "--out", out)
+    code = run("solve", "--in", path, "--risk", "neutral",
+               "--backend", "scipy", "--node-cap", "1", "--out", out)
     assert code == 4
     doc = fileio.load_result(out)
     assert doc["status"] == "node_cap"
-    assert doc["lower"] is not None          # bound survives the cap
+    assert doc["lower"] <= doc["objective"]  # bound survives the cap
     manifest = cli.load_manifest(out + cli.MANIFEST_SUFFIX)
     assert manifest["exit_status"] == 4
 
@@ -335,6 +338,23 @@ def test_rerun_ignores_a_removed_config_key(knap_file, tmp_path):
     assert run("rerun", "--manifest", manifest, "--out-dir", replay_dir) == code
     replayed = open(os.path.join(replay_dir, "rm.result.json"), "rb").read()
     assert replayed == open(out, "rb").read()
+
+
+def test_rerun_rejects_a_removed_backend(knap_file, tmp_path, capsys):
+    # A manifest can name a backend that no longer exists.
+    out = str(tmp_path / "a" / "n.result.json")
+    os.makedirs(tmp_path / "a")
+    assert run("solve", "--in", knap_file, "--risk", "neutral",
+               "--backend", "scipy", "--out", out) == 0
+    manifest = out + cli.MANIFEST_SUFFIX
+    doc = json.load(open(manifest))
+    doc["config"]["backend"] = "auto"
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run("rerun", "--manifest", manifest,
+               "--out-dir", str(tmp_path / "b")) == 2
+    assert "error: unknown backend 'auto'" in capsys.readouterr().err
 
 
 def _without_wall_time(path):

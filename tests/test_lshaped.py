@@ -1,16 +1,16 @@
 """Shaped decomposition for the total-cost excess objective.
 
-Independent oracle: the extensive form with second-stage binaries relaxed,
-solved by the scipy backend.  The decomposition master (reference backend)
-must meet that optimum, and its cuts must be tight at the generating
-iterate and remain valid after eta rebasing.
+Independent route: the extensive form with second-stage binaries
+relaxed, solved whole.  The decomposition must meet that optimum, and its
+cuts must be tight at the generating iterate and remain valid after eta
+rebasing.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from riskshed.backend import ScipyBackend, SimplexBackend
+from riskshed.backend import ScipyBackend
 from riskshed.dep import build_dep_modified_expected_excess, relax_second_stage
 from riskshed.lshaped import (
     THETA_FLOOR, CutPool, OptimalityCut, build_master, build_subproblem_lp,
@@ -35,7 +35,7 @@ def theta_true(problem, rho, x, eta, backend):
 
 def test_converges_to_relaxed_dep_optimum():
     rng = np.random.default_rng(210)
-    backend = SimplexBackend()
+    backend = ScipyBackend()
     for trial in range(6):
         problem = covering_problem(rng, num_scenarios=int(rng.integers(2, 5)))
         rho = float(rng.uniform(0.1, 0.9))
@@ -51,7 +51,7 @@ def test_converges_to_relaxed_dep_optimum():
 
 def test_cut_tight_at_generating_point():
     rng = np.random.default_rng(211)
-    backend = SimplexBackend()
+    backend = ScipyBackend()
     for trial in range(8):
         problem = covering_problem(rng, num_scenarios=3)
         rho = float(rng.uniform(0.1, 0.9))
@@ -67,7 +67,7 @@ def test_cut_tight_at_generating_point():
 
 def test_multicut_tight_per_scenario():
     rng = np.random.default_rng(212)
-    backend = SimplexBackend()
+    backend = ScipyBackend()
     problem = covering_problem(rng, num_scenarios=4)
     x = greedy_feasible_point(problem)
     subs = solve_subproblems(problem, 0.5, x, -25.0, backend)
@@ -82,7 +82,7 @@ def test_cut_valid_after_eta_rebase():
     # duals stay feasible when only the rhs moves, so a cut generated at
     # eta1 must underestimate the recourse at eta2 for every feasible x
     rng = np.random.default_rng(213)
-    backend = SimplexBackend()
+    backend = ScipyBackend()
     problem = covering_problem(rng, n1=4, num_scenarios=2)
     eta1, eta2 = -20.0, -35.0
     rho = 0.6
@@ -126,7 +126,7 @@ def test_master_includes_cuts_and_floor():
     assert lp.num_rows == problem.m1 + 1
     assert lp.lower[-1] == THETA_FLOOR
     assert not program.binary[-1]
-    sol = SimplexBackend().solve_mip(program)
+    sol = ScipyBackend().solve_mip(program)
     assert sol.status == "optimal"
     # the only cut forces theta >= -5
     assert sol.x[-1] >= -5.0 - 1e-9
@@ -152,7 +152,7 @@ def test_cut_pool_rejects_identical_cuts():
 
 def test_multicut_matches_single_cut_optimum():
     rng = np.random.default_rng(216)
-    backend = SimplexBackend()
+    backend = ScipyBackend()
     problem = covering_problem(rng, num_scenarios=3)
     rho, eta = 0.35, -30.0
     single = lshaped_solve(problem, rho, eta, backend=backend)
@@ -166,7 +166,7 @@ def test_multicut_matches_single_cut_optimum():
 
 def test_warm_start_reuses_pool():
     rng = np.random.default_rng(217)
-    backend = SimplexBackend()
+    backend = ScipyBackend()
     problem = covering_problem(rng, num_scenarios=3)
     rho, eta = 0.5, -25.0
     cold = lshaped_solve(problem, rho, eta, backend=backend)
@@ -183,7 +183,7 @@ def test_warm_start_reuses_pool():
 def test_iteration_cap_reported():
     rng = np.random.default_rng(218)
     problem = covering_problem(rng, num_scenarios=3)
-    res = lshaped_solve(problem, 0.5, -25.0, backend=SimplexBackend(),
+    res = lshaped_solve(problem, 0.5, -25.0, backend=ScipyBackend(),
                         max_iters=1)
     assert res.status == "iteration_cap"
     assert res.iterations == 1
@@ -193,7 +193,7 @@ def test_iteration_cap_reported():
 def test_history_monotone_master():
     rng = np.random.default_rng(219)
     problem = covering_problem(rng, num_scenarios=4)
-    res = lshaped_solve(problem, 0.45, -30.0, backend=SimplexBackend())
+    res = lshaped_solve(problem, 0.45, -30.0, backend=ScipyBackend())
     masters = [row["master"] for row in res.history]
     assert all(b >= a - 1e-7 for a, b in zip(masters, masters[1:]))
     assert res.history[-1]["gap"] <= 1e-6 * max(1.0, abs(res.upper_estimate))

@@ -1,8 +1,13 @@
-"""Enumeration oracles vs. production paths, plus the freight envelope."""
+"""Enumeration oracles vs. production paths, plus the freight envelope.
+
+The knapsack family has all-binary recourse, which the oracle enumerates:
+its calls here get a backend that fails any solve, so the extensive forms
+solved on HiGHS are checked against a solver-free ground truth.
+"""
 import numpy as np
 import pytest
 
-from riskshed.backend import ScipyBackend
+from riskshed.backend import Backend, ScipyBackend
 from riskshed.dep import (
     build_dep_absolute_semideviation, build_dep_expectation,
     build_dep_expected_excess, build_dep_modified_expected_excess,
@@ -16,7 +21,20 @@ from riskshed.oracle import (
     freight_interpolation,
 )
 
+from conftest import covering_problem
+
 BACKEND = ScipyBackend()
+
+
+class NoSolver(Backend):
+    def solve_lp(self, lp):
+        raise AssertionError("the oracle called the solver")
+
+    def solve_mip(self, mip, **options):
+        raise AssertionError("the oracle called the solver")
+
+
+NO_SOLVER = NoSolver()
 
 
 def small(seed):
@@ -33,7 +51,7 @@ def test_oracle_matches_expectation_dep():
     for seed in range(4):
         problem = small(seed)
         res = brute_force_optimum(problem, RiskSpec("expectation"),
-                                  backend=BACKEND)
+                                  backend=NO_SOLVER)
         assert res.objective == pytest.approx(
             dep_opt(build_dep_expectation(problem)), rel=1e-7)
         assert 0 < res.feasible_points <= res.enumeration_size == 2 ** 5
@@ -44,7 +62,7 @@ def test_oracle_matches_semideviation_dep():
         problem = small(seed)
         res = brute_force_optimum(
             problem, RiskSpec("absolute-semideviation", rho=0.5),
-            backend=BACKEND)
+            backend=NO_SOLVER)
         art = build_dep_absolute_semideviation(problem, 0.5)
         assert res.objective == pytest.approx(dep_opt(art), rel=1e-7)
 
@@ -52,33 +70,44 @@ def test_oracle_matches_semideviation_dep():
 def test_oracle_matches_excess_deps():
     problem = small(7)
     neutral = brute_force_optimum(problem, RiskSpec("expectation"),
-                                  backend=BACKEND)
+                                  backend=NO_SOLVER)
     eta = neutral.objective  # a target in the realized cost range
     ee = brute_force_optimum(
         problem, RiskSpec("expected-excess", rho=0.4, eta=eta),
-        excess_on="second_stage", backend=BACKEND)
+        excess_on="second_stage", backend=NO_SOLVER)
     assert ee.objective == pytest.approx(
         dep_opt(build_dep_expected_excess(problem, 0.4, eta)), rel=1e-7)
     mod = brute_force_optimum(
         problem, RiskSpec("modified-expected-excess", rho=0.4, eta=eta),
-        excess_on="total", backend=BACKEND)
+        excess_on="total", backend=NO_SOLVER)
     assert mod.objective == pytest.approx(
         dep_opt(build_dep_modified_expected_excess(problem, 0.4, eta)),
         rel=1e-7)
 
 
+def test_oracle_solves_continuous_recourse():
+    problem = covering_problem(np.random.default_rng(11), binary_y=False)
+    res = brute_force_optimum(problem, RiskSpec("expectation"),
+                              backend=BACKEND)
+    assert res.objective == pytest.approx(
+        dep_opt(build_dep_expectation(problem)), rel=1e-7)
+    with pytest.raises(AssertionError, match="called the solver"):
+        brute_force_optimum(problem, RiskSpec("expectation"),
+                            backend=NO_SOLVER)
+
+
 def test_oracle_degenerate_reductions():
     problem = small(2)
     neutral = brute_force_optimum(problem, RiskSpec("expectation"),
-                                  backend=BACKEND)
+                                  backend=NO_SOLVER)
     asd0 = brute_force_optimum(
         problem, RiskSpec("absolute-semideviation", rho=0.0),
-        backend=BACKEND)
+        backend=NO_SOLVER)
     assert asd0.objective == pytest.approx(neutral.objective, abs=1e-9)
     single = generate_knapsack(KnapsackGenSpec(5, 6, 1, seed=3, m1=3, m2=4))
     a = brute_force_optimum(single, RiskSpec("absolute-semideviation",
-                                             rho=0.9), backend=BACKEND)
-    b = brute_force_optimum(single, RiskSpec("expectation"), backend=BACKEND)
+                                             rho=0.9), backend=NO_SOLVER)
+    b = brute_force_optimum(single, RiskSpec("expectation"), backend=NO_SOLVER)
     # one scenario has zero deviation from its own mean
     assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
@@ -87,7 +116,7 @@ def test_values_at_optimum_consistent():
     problem = small(5)
     res = brute_force_optimum(
         problem, RiskSpec("absolute-semideviation", rho=0.7),
-        backend=BACKEND)
+        backend=NO_SOLVER)
     vals = res.values_at_optimum
     assert vals["absolute-semideviation"] == pytest.approx(res.objective)
     assert vals["expectation"] <= res.objective + 1e-9
@@ -96,25 +125,25 @@ def test_values_at_optimum_consistent():
 def test_scale_caps_refuse():
     big = generate_knapsack(KnapsackGenSpec(13, 6, 4, seed=0, m1=3, m2=4))
     with pytest.raises(ScaleRefused):
-        brute_force_optimum(big, RiskSpec("expectation"), backend=BACKEND)
+        brute_force_optimum(big, RiskSpec("expectation"), backend=NO_SOLVER)
     many = generate_knapsack(KnapsackGenSpec(5, 6, 11, seed=0, m1=3, m2=4))
     with pytest.raises(ScaleRefused):
-        brute_force_optimum(many, RiskSpec("expectation"), backend=BACKEND)
+        brute_force_optimum(many, RiskSpec("expectation"), backend=NO_SOLVER)
     cont = small(1)
     cont.first_stage_integrality[:] = False
     with pytest.raises(ScaleRefused):
-        brute_force_optimum(cont, RiskSpec("expectation"), backend=BACKEND)
+        brute_force_optimum(cont, RiskSpec("expectation"), backend=NO_SOLVER)
     with pytest.raises(ScaleRefused):
-        cut_validity_audit(big, 0.5, 0.0, [], backend=BACKEND)
+        cut_validity_audit(big, 0.5, 0.0, [], backend=NO_SOLVER)
 
 
 def test_fingerprint_sensitivity():
     a = brute_force_optimum(small(1), RiskSpec("expectation"),
-                            backend=BACKEND)
+                            backend=NO_SOLVER)
     b = brute_force_optimum(small(1), RiskSpec("expectation"),
-                            backend=BACKEND)
+                            backend=NO_SOLVER)
     c = brute_force_optimum(small(2), RiskSpec("expectation"),
-                            backend=BACKEND)
+                            backend=NO_SOLVER)
     assert a.fingerprint == b.fingerprint != c.fingerprint
 
 
