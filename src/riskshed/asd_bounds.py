@@ -9,7 +9,9 @@ evaluation of candidate first stages:
   * a master over (x, theta), fed by decomposition cuts and excess-mean
     subgradient cuts, yields lower-bound candidates master + rho*eta;
   * each new first stage is evaluated exactly (binary second stages) under
-    the semideviation objective, driving the upper bound.
+    the semideviation objective, driving the upper bound; small all-binary
+    recourse is valued by enumeration in ``model.evaluate_scenario_cost``
+    rather than by a MIP solve.
 
 Lower-bound updates are only accepted while eta stays at or below the
 risk-neutral value.  The bound chain needs eta <= mean total cost of every

@@ -262,15 +262,3 @@ def write_simulation_csv(path, reports):
             "replenishment_cost": repr(float(rep.replenishment_cost)),
         })
     write_history_csv(path, rows, fields)
-
-
-def write_plan_csv(path, plan):
-    """Order quantities as an items x periods matrix."""
-    I, T = plan.orders.shape
-    fields = ["item"] + [f"t{t}" for t in range(T)]
-    rows = []
-    for i in range(I):
-        row = {"item": i}
-        row.update({f"t{t}": repr(float(plan.orders[i, t])) for t in range(T)})
-        rows.append(row)
-    write_history_csv(path, rows, fields)

@@ -13,6 +13,8 @@ per-scenario total cost f_w = c'x + q'y*(w).
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +27,10 @@ from .util import map_ordered, resolve_threads
 PROBABILITY_TOL = 1e-6
 PROBABILITY_EXACT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-8
+# All-binary recourse with at most this many columns is valued by testing
+# every y in {0,1}^n2 (4096 points at the cap) instead of by a MIP solve.
+MAX_ENUMERATED_N2 = 12
+ENUMERATION_TOL = 1e-9
 
 
 class InfeasibleSecondStage(RuntimeError):
@@ -253,21 +259,47 @@ def second_stage_program(problem, x, index, relaxed=False):
     return MixedBinaryProgram(lp=lp, binary=binary)
 
 
+@functools.lru_cache(maxsize=MAX_ENUMERATED_N2 + 1)
+def _binary_points(n):
+    """Every point of {0,1}^n, one per row, in lexicographic order."""
+    points = np.array(list(itertools.product((0.0, 1.0), repeat=n))).reshape(-1, n)
+    points.setflags(write=False)
+    return points
+
+
+def _no_recourse(index, x):
+    return InfeasibleSecondStage(
+        f"scenario {index} has no feasible recourse at x={np.asarray(x).tolist()}")
+
+
 def evaluate_scenario_cost(problem, x, index, backend=None, relaxed=False):
     """Exact second-stage cost q'y*(w) at first-stage decision x.
+
+    When every recourse column is binary, n2 <= MAX_ENUMERATED_N2 and
+    relaxed is false, every y in {0,1}^n2 is tested against
+    W y >= h - T x and the first cheapest one is priced as q'y, the same
+    product the MIP route returns; no solver is called.  Any other
+    scenario is solved on ``backend``.
 
     Raises InfeasibleSecondStage / UnboundedSecondStage on pathological
     scenarios; both indicate the model violates the recourse assumptions.
     """
     from .backend import get_backend
 
+    s = problem.scenarios[index]
+    if not relaxed and s.n2 <= MAX_ENUMERATED_N2 and s.integrality.all():
+        ys = _binary_points(s.n2)
+        need = s.rhs - s.technology @ x - ENUMERATION_TOL
+        fits = (ys @ s.recourse.T >= need).all(axis=1)
+        if not fits.any():
+            raise _no_recourse(index, x)
+        best = int(np.argmin(np.where(fits, ys @ s.cost, np.inf)))
+        return float(s.cost @ ys[best])
     backend = get_backend(backend)
     prog = second_stage_program(problem, x, index, relaxed=relaxed)
     sol = backend.solve_mip(prog)
     if sol.status == "infeasible":
-        raise InfeasibleSecondStage(
-            f"scenario {index} has no feasible recourse at x={np.asarray(x).tolist()}"
-        )
+        raise _no_recourse(index, x)
     if sol.status == "unbounded":
         raise UnboundedSecondStage(f"scenario {index} recourse is unbounded below")
     if sol.status != "optimal":

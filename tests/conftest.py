@@ -3,12 +3,22 @@
 The covering family below is the workhorse: all data negative, so y = 0 is
 feasible in every scenario (complete recourse by construction) and x = 0 is
 feasible in the first stage.  Problems stay small enough for the
-brute-force oracles.
+brute-force oracles.  ``NoSolver`` is the backend for code that must not
+solve anything: every call fails the test.
 """
 import numpy as np
 import pytest
 
+from riskshed.backend import Backend
 from riskshed.model import Scenario, TwoStageProblem
+
+
+class NoSolver(Backend):
+    def solve_lp(self, lp):
+        raise AssertionError("unexpected solver call")
+
+    def solve_mip(self, mip, **options):
+        raise AssertionError("unexpected solver call")
 
 
 def covering_problem(rng, n1=4, n2=6, m1=3, m2=5, num_scenarios=3,

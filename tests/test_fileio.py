@@ -165,16 +165,3 @@ def test_simulation_csv_mean_rows(tmp_path):
     per_rep = [r for r in rows if r["replication"] != "mean"][:3]
     got = np.array([float(r["recourse_cost"]) for r in per_rep])
     assert np.array_equal(got, rep.recourse_cost)
-
-
-def test_plan_csv(tmp_path):
-    plan = ReplenishmentPlan(orders=np.array([[1.0, 2.0], [0.0, 4.5]]),
-                             setups=np.zeros((2, 2)),
-                             segment_flags=np.zeros((7, 2)),
-                             segment_weights=np.zeros((7, 2)))
-    path = tmp_path / "p.csv"
-    fileio.write_plan_csv(path, plan)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0] == {"item": "0", "t0": "1.0", "t1": "2.0"}
-    assert float(rows[1]["t1"]) == 4.5

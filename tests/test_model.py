@@ -1,14 +1,22 @@
 """Core model layer: risk functionals, scenario evaluation, validation."""
+import itertools
+
 import numpy as np
 import pytest
 
+from riskshed.backend import ScipyBackend
+from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
 from riskshed.model import (
-    InfeasibleSecondStage, RiskMeasure, RiskSpec, Scenario, TwoStageProblem,
-    ValidationError, evaluate_objective, evaluate_scenario_cost,
-    evaluate_solution, risk_functional, scenario_costs, validate,
+    MAX_ENUMERATED_N2, InfeasibleSecondStage, RiskMeasure, RiskSpec, Scenario,
+    TwoStageProblem, ValidationError, evaluate_objective,
+    evaluate_scenario_cost, evaluate_solution, risk_functional,
+    scenario_costs, second_stage_program, validate,
 )
 
-from conftest import covering_problem, greedy_feasible_point
+from conftest import NoSolver, covering_problem, greedy_feasible_point
+
+HIGHS = ScipyBackend()
+NO_SOLVER = NoSolver()
 
 
 def test_risk_spec_validation():
@@ -161,3 +169,70 @@ def test_relaxed_costs_bound_binary_costs():
         exact = scenario_costs(problem, x)
         relaxed = scenario_costs(problem, x, relaxed=True)
         assert np.all(relaxed <= exact + 1e-9)
+
+
+def assert_enumeration_matches_highs(problem):
+    """At every first-stage-feasible binary x, the enumerated recourse value
+    is HiGHS's objective bit for bit, or both find no recourse."""
+    infeasible = 0
+    for bits in itertools.product((0.0, 1.0), repeat=problem.n1):
+        x = np.array(bits)
+        if not problem.first_stage_feasible(x):
+            continue
+        for k in range(problem.num_scenarios):
+            sol = HIGHS.solve_mip(second_stage_program(problem, x, k))
+            if sol.status == "infeasible":
+                infeasible += 1
+                with pytest.raises(InfeasibleSecondStage):
+                    evaluate_scenario_cost(problem, x, k, backend=NO_SOLVER)
+                continue
+            assert sol.status == "optimal"
+            got = evaluate_scenario_cost(problem, x, k, backend=NO_SOLVER)
+            assert got == sol.objective, (x, k)
+    return infeasible
+
+
+def test_enumerated_recourse_is_bit_identical_to_highs():
+    # the criterion-4 batch of the acceptance suite, then covering draws
+    for seed in range(20):
+        assert_enumeration_matches_highs(generate_knapsack(
+            KnapsackGenSpec(6, 6, 4, seed=seed, m1=3, m2=4)))
+    rng = np.random.default_rng(30)
+    for _ in range(4):
+        assert_enumeration_matches_highs(covering_problem(rng, binary_y=True))
+
+
+def test_enumerated_recourse_infeasible_like_highs():
+    # x + y1 + y2 >= 2 and x - y1 - y2 >= -1: no y fits at x = 0, and
+    # y = (1, 0) is the cheapest fit at x = 1
+    s = Scenario(probability=1.0, cost=np.array([1.0, 2.0]),
+                 technology=np.array([[1.0], [1.0]]),
+                 recourse=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                 rhs=np.array([2.0, -1.0]))
+    problem = TwoStageProblem(
+        first_stage_cost=np.array([0.0]), first_stage_matrix=np.zeros((0, 1)),
+        first_stage_rhs=np.zeros(0), scenarios=[s])
+    assert assert_enumeration_matches_highs(problem) == 1
+    assert evaluate_scenario_cost(problem, np.ones(1), 0,
+                                  backend=NO_SOLVER) == 1.0
+    with pytest.raises(InfeasibleSecondStage, match=r"scenario 0 .* x=\[0.0\]"):
+        evaluate_scenario_cost(problem, np.zeros(1), 0, backend=NO_SOLVER)
+
+
+def test_small_binary_recourse_skips_the_backend():
+    rng = np.random.default_rng(31)
+
+    def calls(problem, relaxed=False):
+        spy = ScipyBackend()   # its counters record every solve it is given
+        evaluate_scenario_cost(problem, np.zeros(problem.n1), 0,
+                               backend=spy, relaxed=relaxed)
+        return spy.stats.lp_solves + spy.stats.mip_solves
+
+    binary = covering_problem(rng, n2=MAX_ENUMERATED_N2)
+    assert calls(covering_problem(rng)) == 0
+    assert calls(binary) == 0
+    assert calls(binary, relaxed=True) == 1
+    mixed = covering_problem(rng)
+    mixed.scenarios[0].integrality[-1] = False
+    assert calls(mixed) == 1
+    assert calls(covering_problem(rng, n2=MAX_ENUMERATED_N2 + 1)) == 1
