@@ -11,8 +11,9 @@ m2=4) and writes, per instance, the status, both bounds, ``x_best``, the
 final target eta, every history column, the backend's solve counters and
 the pool size.  Floats are stored with ``float.hex``, so ``compare``
 checks them bit for bit.  ``compare`` reports every field that differs,
-except the history's ``wall_time``, and the two sides' counters and pool
-sizes.  The exit status is 1 when anything compared differs.
+and the two sides' counters and pool sizes.  Extra arguments name history columns to leave out, such as
+``wall_time``, which older trees wrote.  The exit status is 1 when
+anything compared differs.
 
     PYTHONPATH=<tree A>/src python demos/driver_equivalence.py dep-dump a.json [SEED]
     PYTHONPATH=<tree B>/src python demos/driver_equivalence.py dep-dump b.json [SEED]
@@ -24,12 +25,18 @@ and 0.9 on the sixteen M.4.8.5 instances of the benchmark's
 16*SEED..16*SEED+15; collapsed mean row, gap 1e-4, as the workload's
 ``solve`` calls) and on the twenty criterion-4 knapsack instances
 (per-scenario mean rows, gap 0), and writes each objective, first-stage
-vector, binary mask and solve time.  ``dep-compare`` prints, per batch,
+vector, binary mask and solve time.  It also writes, per instance and
+rho, a digest (``riskshed.backend.memo._digest``: objective, matrix,
+senses, rhs, bounds and binary mask) of the program every builder
+assembles: the neutral form, both excess forms at eta ``DIGEST_ETA`` and
+the semideviation form with and without the collapsed mean row; these
+are built, not solved.  ``dep-compare`` prints, per batch,
 the largest relative objective difference, whether the binary first-stage
 values match, the largest continuous first-stage difference and both
 sides' total solve time, and lists every instance past 1e-9 relative, a
-binary mismatch or 1e-6 continuous with both objectives; the exit status
-is 1 when any instance is listed.
+binary mismatch or 1e-6 continuous with both objectives, and every
+instance whose program digests differ, with the builders that differ;
+the exit status is 1 when any instance is listed.
 """
 import json
 import sys
@@ -38,7 +45,7 @@ import time
 import numpy as np
 
 SEEDS = range(20)
-UNCOMPARED = ("wall_time",)
+DIGEST_ETA = 12.5       # any nonzero target: it only has to reach the rhs
 
 
 def _hex(value):
@@ -75,7 +82,7 @@ def dump(path):
 def compare(path_a, path_b, ignore=()):
     with open(path_a) as fa, open(path_b) as fb:
         a, b = json.load(fa), json.load(fb)
-    skip = set(UNCOMPARED) | set(ignore)
+    skip = set(ignore)
     differ = 0
     for ra, rb in zip(a, b):
         found = [k for k in ("status", "lower", "upper", "x_best", "eta") if ra[k] != rb[k]]
@@ -110,6 +117,23 @@ def _dep_cases(seed):
         yield "knapsack", k, problem, False, 0.0
 
 
+def _program_digests(problem, rho):
+    from riskshed import dep
+    from riskshed.backend.memo import _digest
+
+    forms = {
+        "expectation": dep.build_dep_expectation(problem),
+        "expected-excess": dep.build_dep_expected_excess(problem, rho, DIGEST_ETA),
+        "modified-expected-excess": dep.build_dep_modified_expected_excess(
+            problem, rho, DIGEST_ETA),
+        "absolute-semideviation": dep.build_dep_absolute_semideviation(problem, rho),
+        "absolute-semideviation-collapsed": dep.build_dep_absolute_semideviation(
+            problem, rho, collapse_mean_row=True),
+    }
+    return {name: _digest(art.program.lp, art.program.binary).hex()
+            for name, art in forms.items()}
+
+
 def dep_dump(path, seed=0):
     from riskshed.backend import ScipyBackend
     from riskshed.dep import build_dep_absolute_semideviation
@@ -126,7 +150,8 @@ def dep_dump(path, seed=0):
                 "batch": batch, "seed": instance_seed, "rho": rho, "status": sol.status,
                 "objective": _hex(sol.objective),
                 "x": _hex(art.first_stage_values(sol.x)),
-                "binary": problem.first_stage_integrality.tolist(), "seconds": seconds})
+                "binary": problem.first_stage_integrality.tolist(), "seconds": seconds,
+                "digests": _program_digests(problem, rho)})
             print(f"{batch} {instance_seed:3d} rho {rho} {sol.objective:.10g} "
                   f"{seconds:.3f} s", flush=True)
     with open(path, "w") as fh:
@@ -142,6 +167,7 @@ def dep_compare(path_a, path_b):
         pairs = [(ra, rb) for ra, rb in zip(a, b) if ra["batch"] == batch]
         worst_rel = worst_cont = 0.0
         binaries_match = True
+        programs_differ = 0
         for ra, rb in pairs:
             oa, ob = float.fromhex(ra["objective"]), float.fromhex(rb["objective"])
             rel = abs(oa - ob) / max(1.0, abs(oa))
@@ -157,9 +183,18 @@ def dep_compare(path_a, path_b):
                 print(f"  {batch} seed {ra['seed']} rho {ra['rho']}: objective "
                       f"{oa!r} vs {ob!r}, binaries {'match' if same_bin else 'differ'}, "
                       f"continuous {cont:.3g}")
+            digests_a, digests_b = ra.get("digests", {}), rb.get("digests", {})
+            differ = sorted(k for k in digests_a.keys() | digests_b.keys()
+                            if digests_a.get(k) != digests_b.get(k))
+            if differ:
+                listed += 1
+                programs_differ += 1
+                print(f"  {batch} seed {ra['seed']} rho {ra['rho']}: program "
+                      f"digest differs for {', '.join(differ)}")
         print(f"{batch}: {len(pairs)} solves, largest relative objective difference "
               f"{worst_rel:.3g}, binaries {'identical' if binaries_match else 'DIFFER'}, "
-              f"largest continuous difference {worst_cont:.3g}, solve time "
+              f"largest continuous difference {worst_cont:.3g}, programs identical "
+              f"{len(pairs) - programs_differ}/{len(pairs)}, solve time "
               f"{sum(r['seconds'] for r, _ in pairs):.2f} s -> "
               f"{sum(r['seconds'] for _, r in pairs):.2f} s")
     if len(a) != len(b):

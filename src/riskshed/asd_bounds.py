@@ -28,7 +28,7 @@ iterate and target stays what re-solving would have given.
 """
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,6 +49,8 @@ class CutGenerationError(RuntimeError):
 
 MEMBERSHIP_TOL = 1e-9
 STALL_LIMIT = 3                         # equal-mass ties before halving xi
+INIT_LSHAPED_ITERS = 60                 # cap on the initial decomposition
+INIT_TOL = 1e-6                         # its convergence tolerance
 
 
 @dataclass
@@ -57,19 +59,16 @@ class AsdBoundsConfig:
     epsilon: float | None = None        # default 1e-4 * max(1, |Q_E|)
     xi: float | None = None             # default 0.01 * max(1, |Q_E|)
     max_iters: int = 50
-    classic_cuts: bool = True           # also cut at each new iterate
-    init_lshaped_iters: int = 60
-    init_tol: float = 1e-6
     backend: object = None
     threads: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.xi is not None and self.xi <= 0:
-            raise ValueError("xi must be positive")
+        for name in ("epsilon", "xi"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass
@@ -167,8 +166,7 @@ def initialize(problem: TwoStageProblem, config: AsdBoundsConfig) -> AsdBoundsSt
                                config.threads)
     pool = CutPool()
     inner = lshaped_solve(problem, config.rho, eta, backend=backend,
-                          tol=config.init_tol,
-                          max_iters=config.init_lshaped_iters,
+                          tol=INIT_TOL, max_iters=INIT_LSHAPED_ITERS,
                           warm_x=x_hat, pool=pool, threads=config.threads)
     # master + rho*eta lower-bounds every candidate's semideviation value
     # while eta <= Q_E; Q_E itself is always a floor.
@@ -192,7 +190,6 @@ def _record(state, iteration, cuts_added=0, event=""):
         "s_plus": len(state.s_plus),
         "s_minus": len(state.s_minus),
         "cuts_added": cuts_added,
-        "wall_time": time.perf_counter(),
         "event": event,
     }
 
@@ -268,11 +265,10 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
         state.x_hat = x_new
         state.totals = totals
 
-        if config.classic_cuts:
-            subs = solve_subproblems(problem, config.rho, x_new, state.eta,
-                                     backend, config.threads)
-            cuts_added += sum(state.pool.add(c)
-                              for c in cuts_from_duals(problem, subs))
+        subs = solve_subproblems(problem, config.rho, x_new, state.eta,
+                                 backend, config.threads)
+        cuts_added += sum(state.pool.add(c)
+                          for c in cuts_from_duals(problem, subs))
 
         state.history.append(_record(state, it, cuts_added, event))
         if state.gap < state.epsilon:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import warnings
 
 from .memo import MemoBackend
-from .mps import write_mps
 from .program import (
     DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, Backend,
     LinearProgram, LpSolution, MipSolution, MixedBinaryProgram,
@@ -20,7 +19,7 @@ from .program import (
 __all__ = [
     "Backend", "LinearProgram", "LpSolution", "MixedBinaryProgram",
     "MipSolution", "NumericalFailure", "SolveStats", "ScipyBackend",
-    "MemoBackend", "get_backend", "write_mps",
+    "MemoBackend", "get_backend",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED", "NODE_CAP",
 ]
 

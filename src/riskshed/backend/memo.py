@@ -34,7 +34,7 @@ def _digest(lp, binary=None, options=()):
 
 
 def _freeze(sol):
-    for name in ("x", "duals", "reduced_costs"):
+    for name in ("x", "duals"):
         array = getattr(sol, name, None)
         if isinstance(array, np.ndarray):
             array.flags.writeable = False

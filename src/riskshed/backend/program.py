@@ -1,7 +1,7 @@
 """Matrix-form programs, solution records and the backend contract."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,23 +70,6 @@ class LinearProgram:
     def num_rows(self):
         return self.rhs.shape[0]
 
-    def row_violation(self, x, tol=0.0):
-        """Largest constraint/bound violation at x (0 when feasible)."""
-        x = np.asarray(x, dtype=float)
-        worst = 0.0
-        if self.num_rows:
-            act = self.lhs @ x
-            for i, sense in enumerate(self.senses):
-                if sense == "<=":
-                    worst = max(worst, act[i] - self.rhs[i])
-                elif sense == ">=":
-                    worst = max(worst, self.rhs[i] - act[i])
-                else:
-                    worst = max(worst, abs(act[i] - self.rhs[i]))
-        worst = max(worst, float(np.max(self.lower - x, initial=0.0)))
-        worst = max(worst, float(np.max(x - self.upper, initial=0.0)))
-        return worst
-
 
 @dataclass
 class LpSolution:
@@ -100,12 +83,7 @@ class LpSolution:
     objective: float | None = None
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     iterations: int = 0
-
-    @property
-    def is_optimal(self):
-        return self.status == OPTIMAL
 
 
 @dataclass
@@ -128,11 +106,9 @@ class MipSolution:
     x: np.ndarray | None = None
     bound: float | None = None       # proven lower bound (minimization)
     nodes: int = 0
-    iterations: int = 0              # total LP iterations across nodes
-
-    @property
-    def is_optimal(self):
-        return self.status == OPTIMAL
+    # HiGHS through milp reports no LP iteration count, so this stays 0;
+    # bench/tracing.py still sums it over every solution.
+    iterations: int = 0
 
 
 @dataclass

@@ -74,10 +74,9 @@ def solve_lp(lp) -> LpSolution:
         duals[i] = sign * res.ineqlin.marginals[k]
     for k, i in enumerate(eq_map):
         duals[i] = res.eqlin.marginals[k]
-    reduced = res.lower.marginals + res.upper.marginals
     iters = int(getattr(res, "nit", 0) or 0)
     return LpSolution(status=OPTIMAL, objective=float(res.fun), x=res.x.copy(),
-                      duals=duals, reduced_costs=reduced, iterations=iters)
+                      duals=duals, iterations=iters)
 
 
 def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:

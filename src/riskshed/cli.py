@@ -17,6 +17,7 @@ import binascii
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import sys
@@ -195,6 +196,8 @@ def _validate_solve(cfg):
     if risk in ("ee", "mod-ee"):
         if eta is None:
             raise UsageError(f"--risk {risk} needs an excess target --eta")
+        if not math.isfinite(eta):
+            raise UsageError("--eta must be finite")
     elif eta is not None:
         raise UsageError("--eta applies to the excess measures only")
     if method == "lshaped" and risk != "mod-ee":
@@ -277,7 +280,7 @@ _HISTORY_FIELDS = {
     "dep": ["iteration", "lower", "upper", "gap", "event"],
     "lshaped": ["iteration", "master", "theta", "recourse", "gap", "cuts"],
     "rm-asd": ["iteration", "eta", "lower", "upper", "gap", "s_plus",
-               "s_minus", "cuts_added", "wall_time", "event"],
+               "s_minus", "cuts_added", "event"],
 }
 
 

@@ -34,7 +34,6 @@ class DepArtifact:
     program: MixedBinaryProgram
     var_index: dict
     row_index: dict
-    measure: str
 
     @property
     def stats(self):
@@ -44,9 +43,6 @@ class DepArtifact:
 
     def first_stage_values(self, x_full):
         return np.asarray(x_full)[self.var_index["x"]]
-
-    def second_stage_values(self, x_full, scenario):
-        return np.asarray(x_full)[self.var_index[("y", scenario)]]
 
 
 def _layout(problem, num_links, num_v, v_free, num_aux=0):
@@ -91,14 +87,31 @@ def _layout(problem, num_links, num_v, v_free, num_aux=0):
     return lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index
 
 
-def _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-            var_index, row_index, measure):
+def _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
+                 y_weight, eta=0.0, x_coef=None):
+    """Weight y_w by y_weight p_w q_w and v_w by rho p_w in the objective,
+    and fill the ("excess", w) row  x_coef'x + q_w'y_w - v_w <= eta  of
+    each scenario, in order after the recourse blocks (no x term when
+    x_coef is None)."""
+    base = problem.m1 + problem.num_scenarios * problem.m2
+    for k, s in enumerate(problem.scenarios):
+        obj[var_index[("y", k)]] = y_weight * s.probability * s.cost
+        obj[var_index[("v", k)]] = rho * s.probability
+        r = base + k
+        row_index[("excess", k)] = r
+        if x_coef is not None:
+            lhs[r, var_index["x"]] = x_coef
+        lhs[r, var_index[("y", k)]] = s.cost
+        lhs[r, var_index[("v", k)]] = -1.0
+        senses[r] = "<="
+        rhs[r] = eta
+
+
+def _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index):
     lp = LinearProgram(objective=obj, lhs=lhs, senses=senses, rhs=rhs,
                        lower=lower, upper=upper)
-    return DepArtifact(
-        program=MixedBinaryProgram(lp=lp, binary=binary),
-        var_index=var_index, row_index=row_index, measure=measure,
-    )
+    return DepArtifact(program=MixedBinaryProgram(lp=lp, binary=binary),
+                       var_index=var_index, row_index=row_index)
 
 
 def build_dep_expectation(problem: TwoStageProblem) -> DepArtifact:
@@ -109,8 +122,7 @@ def build_dep_expectation(problem: TwoStageProblem) -> DepArtifact:
     obj[var_index["x"]] = problem.first_stage_cost
     for k, s in enumerate(problem.scenarios):
         obj[var_index[("y", k)]] = s.probability * s.cost
-    return _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-                   var_index, row_index, "expectation")
+    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index)
 
 
 def build_dep_expected_excess(problem, rho, eta) -> DepArtifact:
@@ -127,18 +139,9 @@ def build_dep_expected_excess(problem, rho, eta) -> DepArtifact:
     (lhs, rhs, senses, obj, lower, upper, binary,
      var_index, row_index) = _layout(problem, S, S, False)
     obj[var_index["x"]] = (1.0 + rho) * problem.first_stage_cost
-    base = problem.m1 + S * problem.m2
-    for k, s in enumerate(problem.scenarios):
-        obj[var_index[("y", k)]] = s.probability * s.cost
-        obj[var_index[("v", k)]] = rho * s.probability
-        r = base + k
-        row_index[("excess", k)] = r
-        lhs[r, var_index[("y", k)]] = s.cost
-        lhs[r, var_index[("v", k)]] = -1.0
-        senses[r] = "<="
-        rhs[r] = eta
-    return _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-                   var_index, row_index, "expected-excess")
+    _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
+                 y_weight=1.0, eta=eta)
+    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index)
 
 
 def build_dep_modified_expected_excess(problem, rho, eta) -> DepArtifact:
@@ -153,19 +156,9 @@ def build_dep_modified_expected_excess(problem, rho, eta) -> DepArtifact:
     (lhs, rhs, senses, obj, lower, upper, binary,
      var_index, row_index) = _layout(problem, S, S, False)
     obj[var_index["x"]] = (1.0 - rho) * c
-    base = problem.m1 + S * problem.m2
-    for k, s in enumerate(problem.scenarios):
-        obj[var_index[("y", k)]] = (1.0 - rho) * s.probability * s.cost
-        obj[var_index[("v", k)]] = rho * s.probability
-        r = base + k
-        row_index[("excess", k)] = r
-        lhs[r, var_index["x"]] = c
-        lhs[r, var_index[("y", k)]] = s.cost
-        lhs[r, var_index[("v", k)]] = -1.0
-        senses[r] = "<="
-        rhs[r] = eta
-    return _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-                   var_index, row_index, "modified-expected-excess")
+    _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
+                 y_weight=1.0 - rho, eta=eta, x_coef=c)
+    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index)
 
 
 def build_dep_absolute_semideviation(problem, rho,
@@ -199,15 +192,9 @@ def build_dep_absolute_semideviation(problem, rho,
     (lhs, rhs, senses, obj, lower, upper, binary,
      var_index, row_index) = _layout(problem, num_links, S, True, num_aux)
     obj[var_index["x"]] = problem.first_stage_cost
+    _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
+                 y_weight=1.0 - rho)
     base = problem.m1 + S * problem.m2
-    for k, s in enumerate(problem.scenarios):
-        obj[var_index[("y", k)]] = (1.0 - rho) * s.probability * s.cost
-        obj[var_index[("v", k)]] = rho * s.probability
-        r = base + k
-        row_index[("excess", k)] = r
-        lhs[r, var_index[("y", k)]] = s.cost
-        lhs[r, var_index[("v", k)]] = -1.0
-        senses[r] = "<="
 
     if not collapse_mean_row:
         for k in range(S):
@@ -233,8 +220,7 @@ def build_dep_absolute_semideviation(problem, rho,
             lhs[rr, aux] = 1.0
             lhs[rr, var_index[("v", k)]] = -1.0
             senses[rr] = "<="
-    return _finish(problem, lhs, rhs, senses, obj, lower, upper, binary,
-                   var_index, row_index, "absolute-semideviation")
+    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index)
 
 
 BUILDERS = {
@@ -259,7 +245,6 @@ def pin_first_stage(artifact: DepArtifact, x) -> DepArtifact:
     return DepArtifact(
         program=MixedBinaryProgram(lp=new_lp, binary=artifact.program.binary.copy()),
         var_index=artifact.var_index, row_index=artifact.row_index,
-        measure=artifact.measure,
     )
 
 
@@ -272,5 +257,4 @@ def relax_second_stage(artifact: DepArtifact) -> DepArtifact:
     return DepArtifact(
         program=MixedBinaryProgram(lp=artifact.program.lp, binary=binary),
         var_index=artifact.var_index, row_index=artifact.row_index,
-        measure=artifact.measure,
     )

@@ -137,7 +137,7 @@ def solve_subproblems(problem, rho, x, eta, backend: Backend, threads=None):
     return map_ordered(one, range(problem.num_scenarios), threads=threads)
 
 
-def cuts_from_duals(problem, sub_results, multicut=False, origin="lshaped"):
+def cuts_from_duals(problem, sub_results, multicut=False):
     """Aggregate scenario duals into one cut, or one cut per scenario."""
     p = problem.probabilities
     made = []
@@ -147,7 +147,7 @@ def cuts_from_duals(problem, sub_results, multicut=False, origin="lshaped"):
                 coef=p[k] * (meta["x_block"].T @ duals),
                 rhs_base=p[k] * float(duals @ meta["rhs_base"]),
                 eta_coef=p[k] * float(duals[meta["eta_row"]]),
-                origin=origin, scenario=k))
+                scenario=k))
         return made
     coef = np.zeros(problem.n1)
     rhs_base = 0.0
@@ -157,7 +157,7 @@ def cuts_from_duals(problem, sub_results, multicut=False, origin="lshaped"):
         rhs_base += p[k] * float(duals @ meta["rhs_base"])
         eta_coef += p[k] * float(duals[meta["eta_row"]])
     made.append(OptimalityCut(coef=coef, rhs_base=rhs_base,
-                              eta_coef=eta_coef, origin=origin))
+                              eta_coef=eta_coef))
     return made
 
 
@@ -206,7 +206,6 @@ class LShapedResult:
     iterations: int
     cuts: CutPool
     history: list
-    theta: float
 
 
 def lshaped_solve(problem: TwoStageProblem, rho: float, eta: float,
@@ -269,4 +268,4 @@ def lshaped_solve(problem: TwoStageProblem, rho: float, eta: float,
     return LShapedResult(status=status, x=best_x if best_x is not None else x,
                          master_objective=master_obj,
                          upper_estimate=best_upper, iterations=it,
-                         cuts=pool, history=history, theta=theta_val)
+                         cuts=pool, history=history)

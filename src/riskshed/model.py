@@ -234,11 +234,10 @@ def require_valid(problem: TwoStageProblem):
 # Evaluation at a fixed first-stage decision
 # ---------------------------------------------------------------------------
 
-def second_stage_program(problem, x, index, relaxed=False):
+def second_stage_program(problem, x, index):
     """The recourse program min q'y s.t. W y >= h - T x for one scenario.
 
-    Returns a backend MixedBinaryProgram.  relaxed=True drops integrality
-    (binary y relaxed to [0,1]).
+    Returns a backend MixedBinaryProgram.
     """
     from .backend import LinearProgram, MixedBinaryProgram
 
@@ -255,8 +254,7 @@ def second_stage_program(problem, x, index, relaxed=False):
         lower=lower,
         upper=upper,
     )
-    binary = np.zeros(s.n2, dtype=bool) if relaxed else s.integrality.copy()
-    return MixedBinaryProgram(lp=lp, binary=binary)
+    return MixedBinaryProgram(lp=lp, binary=s.integrality.copy())
 
 
 @functools.lru_cache(maxsize=MAX_ENUMERATED_N2 + 1)
@@ -272,13 +270,13 @@ def _no_recourse(index, x):
         f"scenario {index} has no feasible recourse at x={np.asarray(x).tolist()}")
 
 
-def evaluate_scenario_cost(problem, x, index, backend=None, relaxed=False):
+def evaluate_scenario_cost(problem, x, index, backend=None):
     """Exact second-stage cost q'y*(w) at first-stage decision x.
 
-    When every recourse column is binary, n2 <= MAX_ENUMERATED_N2 and
-    relaxed is false, every y in {0,1}^n2 is tested against
-    W y >= h - T x and the first cheapest one is priced as q'y, the same
-    product the MIP route returns; no solver is called.  Any other
+    When every recourse column is binary and n2 <= MAX_ENUMERATED_N2,
+    every y in {0,1}^n2 is tested against W y >= h - T x and the first
+    cheapest one is priced as q'y, the same product the MIP route
+    returns; no solver is called.  Any other
     scenario is solved on ``backend``.
 
     Raises InfeasibleSecondStage / UnboundedSecondStage on pathological
@@ -287,7 +285,7 @@ def evaluate_scenario_cost(problem, x, index, backend=None, relaxed=False):
     from .backend import get_backend
 
     s = problem.scenarios[index]
-    if not relaxed and s.n2 <= MAX_ENUMERATED_N2 and s.integrality.all():
+    if s.n2 <= MAX_ENUMERATED_N2 and s.integrality.all():
         ys = _binary_points(s.n2)
         need = s.rhs - s.technology @ x - ENUMERATION_TOL
         fits = (ys @ s.recourse.T >= need).all(axis=1)
@@ -296,7 +294,7 @@ def evaluate_scenario_cost(problem, x, index, backend=None, relaxed=False):
         best = int(np.argmin(np.where(fits, ys @ s.cost, np.inf)))
         return float(s.cost @ ys[best])
     backend = get_backend(backend)
-    prog = second_stage_program(problem, x, index, relaxed=relaxed)
+    prog = second_stage_program(problem, x, index)
     sol = backend.solve_mip(prog)
     if sol.status == "infeasible":
         raise _no_recourse(index, x)
@@ -307,12 +305,12 @@ def evaluate_scenario_cost(problem, x, index, backend=None, relaxed=False):
     return float(sol.objective)
 
 
-def scenario_costs(problem, x, backend=None, relaxed=False, threads=None):
+def scenario_costs(problem, x, backend=None, threads=None):
     """Vector of exact second-stage costs, one per scenario."""
     workers = resolve_threads(threads)
     indices = range(problem.num_scenarios)
     vals = map_ordered(
-        lambda k: evaluate_scenario_cost(problem, x, k, backend=backend, relaxed=relaxed),
+        lambda k: evaluate_scenario_cost(problem, x, k, backend=backend),
         indices, threads=workers,
     )
     return np.array(vals, dtype=float)
@@ -353,15 +351,10 @@ def risk_functional(total_costs, probabilities, spec, first_stage_cost=None,
 
 
 def evaluate_objective(problem, x, spec, backend=None, excess_on="total",
-                       relaxed=False, threads=None):
+                       threads=None):
     """Mean-risk objective value at a fixed feasible first-stage decision."""
-    x = np.asarray(x, dtype=float)
-    if not problem.first_stage_feasible(x):
-        raise ValidationError("x violates the first-stage constraints")
-    phi = scenario_costs(problem, x, backend=backend, relaxed=relaxed, threads=threads)
-    cx = float(problem.first_stage_cost @ x)
-    return risk_functional(cx + phi, problem.probabilities, spec,
-                           first_stage_cost=cx, excess_on=excess_on)
+    return evaluate_solution(problem, x, spec, backend=backend,
+                             excess_on=excess_on, threads=threads).objective
 
 
 @dataclass
@@ -374,10 +367,6 @@ class FirstStageSolution:
     scenario_totals: np.ndarray   # f_w = c'x + q'y*(w)
     expectation: float            # sum p_w f_w
     risk_term: float              # objective - expectation contribution detail
-
-    @property
-    def n1(self):
-        return self.x.shape[0]
 
 
 def evaluate_solution(problem, x, spec, backend=None, excess_on="total",

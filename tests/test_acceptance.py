@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from riskshed import cli, fileio, util
+from riskshed import cli, util
 from riskshed.asd_bounds import AsdBoundsConfig, rm_asd_solve
 from riskshed.backend import ScipyBackend
 from riskshed.dep import (
@@ -412,19 +412,6 @@ def test_criterion_09_simulation_and_freight_invariants():
 # -- 10 ---------------------------------------------------------------------
 
 
-def _strip_wall_time(text):
-    lines = text.splitlines()
-    head = lines[0].split(",")
-    if "wall_time" not in head:
-        return text
-    keep = [i for i, name in enumerate(head) if name != "wall_time"]
-    out = []
-    for line in lines:
-        cells = line.split(",")
-        out.append(",".join(cells[i] for i in keep))
-    return "\n".join(out)
-
-
 def test_criterion_10_replay_determinism(tmp_path):
     """Every run replayed from its manifest rewrites identical artifacts."""
     base = tmp_path / "orig"
@@ -467,14 +454,8 @@ def test_criterion_10_replay_determinism(tmp_path):
             name = os.path.basename(out_path)
             a = open(out_path, "rb").read()
             b = open(replay_dir / name, "rb").read()
-            if name.endswith(fileio.HISTORY_SUFFIX):
-                # iteration timing is wall-clock; everything else must match
-                same = (_strip_wall_time(a.decode())
-                        == _strip_wall_time(b.decode()))
-            else:
-                same = a == b
             compared += 1
-            if not same:
+            if a != b:
                 mismatched.append(name)
     verdict(10, compared >= len(runs) and not mismatched,
             f"replay reproduced {compared - len(mismatched)}/{compared} "

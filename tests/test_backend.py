@@ -1,4 +1,4 @@
-"""The solver backend (HiGHS through scipy), its memo wrapper and MPS export.
+"""The solver backend (HiGHS through scipy) and its memo wrapper.
 
 Expected answers come from outside the solver: hand-worked programs,
 strong duality checked from the returned duals, and the enumeration
@@ -15,7 +15,7 @@ import pytest
 
 from riskshed.backend import (
     INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram, MemoBackend,
-    MixedBinaryProgram, ScipyBackend, get_backend, write_mps,
+    MixedBinaryProgram, ScipyBackend, get_backend,
 )
 from riskshed.backend import scipy_backend
 from riskshed.dep import build_dep_expectation
@@ -262,51 +262,3 @@ def test_memo_backend_solves_once_under_threads():
     assert all(len(out) == 100 for out in answers)
     assert {id(sol) for out in answers for sol in out} == {
         id(memo.solve_lp(lp)) for lp in lps}
-
-
-MPS_GOLDEN = """\
-* Minimization problem; no OBJSENSE record is emitted.
-NAME          TINY
-ROWS
- N  OBJ
- L  R0000000
- G  R0000001
-COLUMNS
-    C0000000  OBJ       -1             R0000000  2
-    C0000000  R0000001  1
-    M0000000  'MARKER'                 'INTORG'
-    C0000001  OBJ       -2             R0000000  1
-    M0000001  'MARKER'                 'INTEND'
-    C0000002  R0000000  1              R0000001  -1
-RHS
-    RHS       R0000000  4
-    RHS       R0000001  0.5
-BOUNDS
- UP BND       C0000000  3
- BV BND       C0000001
- FR BND       C0000002
-ENDATA
-"""
-
-
-def test_mps_golden():
-    lp = LinearProgram(
-        objective=[-1.0, -2.0, 0.0],
-        lhs=[[2.0, 1.0, 1.0], [1.0, 0.0, -1.0]],
-        senses=["<=", ">="],
-        rhs=[4.0, 0.5],
-        lower=[0.0, 0.0, -np.inf],
-        upper=[3.0, 1.0, np.inf],
-    )
-    mip = MixedBinaryProgram(lp=lp, binary=np.array([False, True, False]))
-    assert write_mps(mip, name="TINY") == MPS_GOLDEN
-
-
-def test_mps_roundtrip_through_scipy():
-    # not a parser test: just confirm the export runs on a solved program
-    rng = np.random.default_rng(2)
-    lp = random_lp(rng)
-    text = write_mps(lp)
-    assert text.startswith("*")
-    assert "ENDATA" in text
-    assert text.count("\n") > lp.num_vars

@@ -161,16 +161,6 @@ def test_validate_flags_bad_probabilities():
     assert any("probabilit" in msg for msg in validate(problem))
 
 
-def test_relaxed_costs_bound_binary_costs():
-    rng = np.random.default_rng(12)
-    for trial in range(10):
-        problem = covering_problem(rng, num_scenarios=2)
-        x = np.zeros(problem.n1)
-        exact = scenario_costs(problem, x)
-        relaxed = scenario_costs(problem, x, relaxed=True)
-        assert np.all(relaxed <= exact + 1e-9)
-
-
 def assert_enumeration_matches_highs(problem):
     """At every first-stage-feasible binary x, the enumerated recourse value
     is HiGHS's objective bit for bit, or both find no recourse."""
@@ -222,16 +212,14 @@ def test_enumerated_recourse_infeasible_like_highs():
 def test_small_binary_recourse_skips_the_backend():
     rng = np.random.default_rng(31)
 
-    def calls(problem, relaxed=False):
+    def calls(problem):
         spy = ScipyBackend()   # its counters record every solve it is given
-        evaluate_scenario_cost(problem, np.zeros(problem.n1), 0,
-                               backend=spy, relaxed=relaxed)
+        evaluate_scenario_cost(problem, np.zeros(problem.n1), 0, backend=spy)
         return spy.stats.lp_solves + spy.stats.mip_solves
 
     binary = covering_problem(rng, n2=MAX_ENUMERATED_N2)
     assert calls(covering_problem(rng)) == 0
     assert calls(binary) == 0
-    assert calls(binary, relaxed=True) == 1
     mixed = covering_problem(rng)
     mixed.scenarios[0].integrality[-1] = False
     assert calls(mixed) == 1

@@ -120,7 +120,7 @@ def test_dep_solution_obeys_mass_balance():
     orders = model.decode_plan(xf).orders
     I, T = 2, 2
     for s in range(2):
-        y = art.second_stage_values(sol.x, s)
+        y = sol.x[art.var_index[("y", s)]]
         v = y[:I * T].reshape(I, T)
         u = y[I * T:2 * I * T].reshape(I, T)
         for i in range(I):
