@@ -1,5 +1,6 @@
 """Record or compare the bounding driver's outcome on the criterion-4 batch,
-or the semideviation extensive form's optimum on two batches.
+the semideviation extensive form's optimum on two batches, or what the CLI
+writes on a fixed script.
 
     PYTHONPATH=<tree A>/src python demos/driver_equivalence.py dump a.json
     PYTHONPATH=<tree B>/src python demos/driver_equivalence.py dump b.json
@@ -37,9 +38,28 @@ sides' total solve time, and lists every instance past 1e-9 relative, a
 binary mismatch or 1e-6 continuous with both objectives, and every
 instance whose program digests differ, with the builders that differ;
 the exit status is 1 when any instance is listed.
+
+    PYTHONPATH=<tree A>/src python demos/driver_equivalence.py cli-dump a.json
+    PYTHONPATH=<tree B>/src python demos/driver_equivalence.py cli-dump b.json
+    python demos/driver_equivalence.py cli-compare a.json b.json
+
+``cli-dump`` runs ``CLI_SCRIPT`` through ``riskshed.cli.main`` in a fresh
+temporary directory, with relative paths so that manifests from two trees
+name the same files.  The script runs every subcommand and every
+``--method``, hits the node and iteration caps and one usage error, and
+replays four manifests.  It writes each step's exit code and printed
+output, the SHA-256 of every file the steps leave behind, and each
+manifest's ``config``, ``inputs``, ``outputs``, ``checksums`` and
+``exit_status`` (not its wall time).  ``cli-compare`` lists every step and
+file that differs; the exit status is 1 when anything is listed.
 """
+import contextlib
+import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -203,6 +223,116 @@ def dep_compare(path_a, path_b):
     return 1 if listed else 0
 
 
+_KNAP = ["--in", "k.sp2.json"]
+_ORDER = ["--in", "m.sp2.json", "--mip-gap", "1e-4"]
+_MOD_EE = ["--risk", "mod-ee", "--rho", "0.4", "--eta", "-2200"]
+_ASD = ["--risk", "asd", "--rho", "0.5"]
+CLI_SCRIPT = [
+    ["gen", "knapsack", "--n1", "5", "--n2", "6", "--scens", "3", "--seed", "4",
+     "--m1", "3", "--m2", "4", "--out", "k.sp2.json"],
+    ["gen", "knapsack", "--n1", "10", "--n2", "20", "--scens", "10", "--m1", "5",
+     "--m2", "5", "--out", "cap.sp2.json"],
+    ["gen", "mssop", "--items", "2", "--periods", "3", "--scens", "3", "--seed", "1",
+     "--lumpy", "0.5", "--out", "m.sp2.json"],
+    ["solve", *_KNAP, "--risk", "neutral", "--out", "k-neutral.result.json"],
+    ["solve", *_KNAP, "--risk", "ee", "--rho", "0.4", "--eta", "-2200",
+     "--out", "k-ee.result.json"],
+    ["solve", *_KNAP, *_MOD_EE, "--out", "k-modee.result.json"],
+    ["solve", *_KNAP, *_ASD, "--mip-gap", "0.05", "--out", "k-asd.result.json"],
+    ["solve", *_KNAP, *_ASD, "--collapse-mean-row", "--threads", "2",
+     "--out", "k-asd-collapsed.result.json"],
+    ["solve", "--in", "cap.sp2.json", "--risk", "neutral", "--node-cap", "1",
+     "--out", "cap.result.json"],
+    ["solve", *_KNAP, *_MOD_EE, "--method", "lshaped", "--out", "k-ls.result.json"],
+    ["solve", *_KNAP, *_MOD_EE, "--method", "lshaped", "--multicut", "--tol", "1e-4",
+     "--out", "k-ls-multi.result.json"],
+    ["solve", *_KNAP, *_MOD_EE, "--method", "lshaped", "--max-iters", "1",
+     "--out", "k-ls-cap.result.json"],
+    ["solve", *_KNAP, *_ASD, "--method", "rm-asd", "--out", "k-rm.result.json"],
+    ["solve", *_KNAP, *_ASD, "--method", "rm-asd", "--max-iters", "3", "--epsilon",
+     "0.5", "--xi", "20", "--out", "k-rm-cap.result.json"],
+    ["solve", *_KNAP, *_MOD_EE, "--method", "rm-asd", "--out", "k-bad.result.json"],
+    ["solve", *_ORDER, "--risk", "neutral", "--out", "m-neutral.result.json"],
+    ["solve", *_ORDER, "--risk", "asd", "--rho", "0.9", "--collapse-mean-row",
+     "--out", "m-asd.result.json"],
+    ["simulate", "--in", "m.sp2.json", "--plan", "m-neutral.result.json", "--reps", "3",
+     "--seed", "2", "--out", "m-neutral.sim.csv"],
+    ["simulate", "--in", "m.sp2.json", "--plan", "m-asd.result.json", "--reps", "3",
+     "--seed", "2", "--out", "m-asd.sim.csv"],
+    ["simulate", "--in", "m.sp2.json", "--plan", "m-asd.result.json", "--zero-demand",
+     "--label", "idle", "--out", "m-idle.sim.csv"],
+    ["report", "--inputs", "m-neutral.sim.csv", "m-asd.sim.csv", "m-idle.sim.csv",
+     "--out", "summary.csv", "--plots", "plots"],
+    ["rerun", "--manifest", "m.sp2.json.manifest.json", "--out-dir", "replay"],
+    ["rerun", "--manifest", "k-asd.result.json.manifest.json", "--out-dir", "replay"],
+    ["rerun", "--manifest", "k-rm.result.json.manifest.json", "--out-dir", "replay"],
+    ["rerun", "--manifest", "summary.csv.manifest.json", "--out-dir", "replay"],
+]
+MANIFEST_FIELDS = ("config", "inputs", "outputs", "checksums", "exit_status")
+
+
+def cli_dump(path):
+    from riskshed import cli
+
+    path = os.path.abspath(path)
+    steps, files = [], {}
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as work:
+        home = os.getcwd()
+        os.chdir(work)
+        try:
+            for argv in CLI_SCRIPT:
+                printed = io.StringIO()
+                with contextlib.redirect_stdout(printed):
+                    code = cli.main(argv)
+                steps.append({"argv": argv, "exit": code, "stdout": printed.getvalue()})
+            for root, _, names in os.walk("."):
+                for name in names:
+                    rel = os.path.relpath(os.path.join(root, name))
+                    if rel.endswith(cli.MANIFEST_SUFFIX):
+                        doc = cli.load_manifest(rel)
+                        files[rel] = {k: doc[k] for k in MANIFEST_FIELDS}
+                    else:
+                        with open(rel, "rb") as fh:
+                            files[rel] = hashlib.sha256(fh.read()).hexdigest()
+        finally:
+            os.chdir(home)
+    with open(path, "w") as fh:
+        json.dump({"steps": steps, "files": files}, fh, indent=1, sort_keys=True)
+    print(f"{len(steps)} steps, {len(files)} files in "
+          f"{time.perf_counter() - start:.1f} s -> {path}")
+
+
+def cli_compare(path_a, path_b):
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    listed = 0
+    for k, (sa, sb) in enumerate(zip(a["steps"], b["steps"])):
+        found = [key for key in ("argv", "exit", "stdout") if sa[key] != sb[key]]
+        if found:
+            listed += 1
+            print(f"step {k} ({' '.join(sa['argv'][:2])}): {', '.join(found)} differ")
+    if len(a["steps"]) != len(b["steps"]):
+        listed += 1
+        print(f"step counts differ: {len(a['steps'])} != {len(b['steps'])}")
+    for name in sorted(a["files"].keys() | b["files"].keys()):
+        fa, fb = a["files"].get(name), b["files"].get(name)
+        if fa is None or fb is None:
+            listed += 1
+            print(f"{name}: only in {path_a if fb is None else path_b}")
+        elif isinstance(fa, dict) and isinstance(fb, dict):
+            found = [key for key in MANIFEST_FIELDS if fa[key] != fb[key]]
+            if found:
+                listed += 1
+                print(f"{name}: manifest {', '.join(found)} differ")
+        elif fa != fb:
+            listed += 1
+            print(f"{name}: bytes differ")
+    print(f"{len(a['steps'])} steps, {len(a['files'])} files: "
+          + (f"{listed} differences" if listed else "identical"))
+    return 1 if listed else 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["dump"] and len(sys.argv) == 3:
         dump(sys.argv[2])
@@ -212,5 +342,9 @@ if __name__ == "__main__":
         dep_dump(sys.argv[2], int(sys.argv[3]) if len(sys.argv) == 4 else 0)
     elif sys.argv[1:2] == ["dep-compare"] and len(sys.argv) == 4:
         sys.exit(dep_compare(sys.argv[2], sys.argv[3]))
+    elif sys.argv[1:2] == ["cli-dump"] and len(sys.argv) == 3:
+        cli_dump(sys.argv[2])
+    elif sys.argv[1:2] == ["cli-compare"] and len(sys.argv) == 4:
+        sys.exit(cli_compare(sys.argv[2], sys.argv[3]))
     else:
         sys.exit(__doc__)

@@ -152,10 +152,7 @@ def initialize(problem: TwoStageProblem, config: AsdBoundsConfig) -> AsdBoundsSt
     neutral = backend.solve_mip(build_dep_expectation(problem).program)
     if neutral.status != "optimal":
         raise RuntimeError(f"risk-neutral extensive form came back {neutral.status}")
-    x_hat = np.asarray(neutral.x[:problem.n1]).copy()
-    if problem.first_stage_integrality.any():
-        x_hat[problem.first_stage_integrality] = np.round(
-            x_hat[problem.first_stage_integrality])
+    x_hat = neutral.x[:problem.n1]
     q_exp = neutral.objective
     eta = q_exp
     scale = max(1.0, abs(q_exp))
@@ -253,10 +250,7 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
             if eta_ok and candidate > state.lower:
                 state.lower = min(candidate, state.upper)
 
-        x_new = np.asarray(msol.x[:problem.n1]).copy()
-        if problem.first_stage_integrality.any():
-            x_new[problem.first_stage_integrality] = np.round(
-                x_new[problem.first_stage_integrality])
+        x_new = msol.x[:problem.n1]
         value, totals = _asd_value(problem, x_new, config.rho, backend,
                                    config.threads)
         if value < state.upper:

@@ -103,7 +103,7 @@ class MixedBinaryProgram:
 class MipSolution:
     status: str
     objective: float | None = None   # incumbent value
-    x: np.ndarray | None = None
+    x: np.ndarray | None = None      # binary columns are exactly 0.0 or 1.0
     bound: float | None = None       # proven lower bound (minimization)
     nodes: int = 0
     # HiGHS through milp reports no LP iteration count, so this stays 0;

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import binascii
+import collections
 import csv
 import hashlib
 import json
@@ -65,8 +66,11 @@ INPUT_KEYS = {
     "gen": (),
     "solve": ("in",),
     "simulate": ("in", "plan"),
-    "report": (),
+    "report": ("inputs",),
 }
+# solve statuses -> exit code; any other status is a cap (EXIT_CAP).
+STATUS_EXIT = {"optimal": EXIT_OK, "converged": EXIT_OK,
+               "infeasible": EXIT_INFEASIBLE, "unbounded": EXIT_INFEASIBLE}
 
 CHART_SIZE = (320, 200)             # report --plots canvas, pixels
 BAR_RGB = bytes((70, 130, 180))     # steel blue
@@ -76,9 +80,6 @@ PLOT_SERIES = {
     "lost_sales_quantity": "mean_lost_sales_quantity",
     "total_cost": "mean_total_cost",
 }
-
-SIM_FIELDS = ["policy", "replication", "lost_sales_events",
-              "lost_sales_quantity", "recourse_cost", "replenishment_cost"]
 
 
 class UsageError(Exception):
@@ -101,6 +102,18 @@ def _history_path(out):
 
 def _plot_files(out_dir):
     return [os.path.join(out_dir, f"{stem}.png") for stem in PLOT_SERIES]
+
+
+def _files(cfg, keys):
+    """Files that cfg names under keys; ``plots`` stands for its charts."""
+    files = []
+    for key in keys:
+        value = cfg.get(key)
+        if key == "plots" and value:
+            files += _plot_files(value)
+        elif value:
+            files += value if isinstance(value, list) else [value]
+    return files
 
 
 def _sha256(path):
@@ -186,13 +199,10 @@ def _validate_solve(cfg):
     if risk == "neutral":
         if rho is not None:
             raise UsageError("--rho applies to risk-averse measures only")
-        if eta is not None:
-            raise UsageError("--eta applies to the excess measures only")
-    else:
-        if rho is None:
-            raise UsageError(f"--risk {risk} needs --rho")
-        if not 0.0 <= rho <= 1.0:
-            raise UsageError("--rho must lie in [0, 1]")
+    elif rho is None:
+        raise UsageError(f"--risk {risk} needs --rho")
+    elif not 0.0 <= rho <= 1.0:
+        raise UsageError("--rho must lie in [0, 1]")
     if risk in ("ee", "mod-ee"):
         if eta is None:
             raise UsageError(f"--risk {risk} needs an excess target --eta")
@@ -200,10 +210,18 @@ def _validate_solve(cfg):
             raise UsageError("--eta must be finite")
     elif eta is not None:
         raise UsageError("--eta applies to the excess measures only")
-    if method == "lshaped" and risk != "mod-ee":
-        raise UsageError("--method lshaped supports --risk mod-ee only")
-    if method == "rm-asd" and risk != "asd":
-        raise UsageError("--method rm-asd requires --risk asd")
+    risks = METHODS[method].risks
+    if risk not in risks:
+        raise UsageError(f"--method {method} supports --risk "
+                         f"{' or '.join(risks)} only")
+    if not 0.0 <= cfg["mip_gap"] < math.inf:
+        raise UsageError("--mip-gap must be finite and non-negative")
+    if cfg["node_cap"] < 1:
+        raise UsageError("--node-cap must be at least 1")
+    if not 0.0 < cfg["tol"] < math.inf:
+        raise UsageError("--tol must be finite and positive")
+    if cfg["max_iters"] is not None and cfg["max_iters"] < 1:
+        raise UsageError("--max-iters must be at least 1")
 
 
 def _solve_dep(cfg, problem, backend):
@@ -219,24 +237,14 @@ def _solve_dep(cfg, problem, backend):
             problem, rho, collapse_mean_row=cfg["collapse_mean_row"])
     sol = backend.solve_mip(art.program, gap_tol=cfg["mip_gap"],
                             node_cap=cfg["node_cap"])
+    fields = dict(status=sol.status, lower=sol.bound, upper=sol.objective,
+                  x=None if sol.x is None else art.first_stage_values(sol.x))
     history = []
-    if sol.status in ("infeasible", "unbounded"):
-        return (EXIT_INFEASIBLE, dict(status=sol.status), history)
-    if sol.status == "node_cap":
-        fields = dict(status="node_cap", lower=sol.bound,
-                      objective=sol.objective, upper=sol.objective)
-        if sol.objective is not None and sol.bound is not None:
-            fields["gap_percent"] = util.gap_percent(sol.bound, sol.objective)
-        if sol.x is not None:
-            fields["x"] = art.first_stage_values(sol.x)
-        return (EXIT_CAP, fields, history)
-    obj, bound = sol.objective, sol.bound
-    history.append({"iteration": 0, "lower": bound, "upper": obj,
-                    "gap": obj - bound, "event": "dep"})
-    fields = dict(status="optimal", objective=obj, lower=bound, upper=obj,
-                  gap_percent=util.gap_percent(bound, obj),
-                  x=art.first_stage_values(sol.x))
-    return (EXIT_OK, fields, history)
+    if sol.status == "optimal":
+        history.append({"iteration": 0, "lower": sol.bound,
+                        "upper": sol.objective,
+                        "gap": sol.objective - sol.bound, "event": "dep"})
+    return fields, history
 
 
 def _solve_lshaped(cfg, problem, backend):
@@ -247,13 +255,10 @@ def _solve_lshaped(cfg, problem, backend):
                     rho=cfg["rho"], eta=cfg["eta"])
     upper = evaluate_objective(problem, res.x, spec, backend=backend,
                                threads=cfg["threads"])
-    lower = min(res.master_objective, upper)
-    fields = dict(status=res.status, objective=upper, lower=lower,
-                  upper=upper, gap_percent=util.gap_percent(lower, upper),
-                  x=res.x,
+    fields = dict(status=res.status, lower=min(res.master_objective, upper),
+                  upper=upper, x=res.x,
                   extras={"iterations": res.iterations, "cuts": len(res.cuts)})
-    code = EXIT_OK if res.status == "converged" else EXIT_CAP
-    return (code, fields, res.history)
+    return fields, res.history
 
 
 def _solve_rm_asd(cfg, problem, backend):
@@ -266,26 +271,36 @@ def _solve_rm_asd(cfg, problem, backend):
         raise UsageError(str(exc)) from exc
     state = rm_asd_solve(problem, config)
     fields = dict(
-        status=state.status, objective=state.upper, lower=state.lower,
-        upper=state.upper, gap_percent=state.gap_percent(), x=state.x_best,
+        status=state.status, lower=state.lower, upper=state.upper,
+        x=state.x_best,
         extras={"eta_final": state.eta,
                 "q_expectation": state.q_expectation,
                 "iterations": len(state.history) - 1,
                 "cuts": len(state.pool)})
-    code = EXIT_OK if state.status == "converged" else EXIT_CAP
-    return (code, fields, state.history)
+    return fields, state.history
 
 
-_HISTORY_FIELDS = {
-    "dep": ["iteration", "lower", "upper", "gap", "event"],
-    "lshaped": ["iteration", "master", "theta", "recourse", "gap", "cuts"],
-    "rm-asd": ["iteration", "eta", "lower", "upper", "gap", "s_plus",
-               "s_minus", "cuts_added", "event"],
+# --method -> its runner, the --risk tokens it accepts, its default
+# --max-iters (recorded in the manifest) and its history CSV columns.  A
+# runner returns (fields, history); fields hold the status, the lower and
+# upper bounds, the first-stage x and optional extras, and upper is the
+# objective of x.
+Method = collections.namedtuple("Method", "runner risks max_iters history")
+METHODS = {
+    "dep": Method(_solve_dep, tuple(RISK_TOKENS), 200,
+                  ("iteration", "lower", "upper", "gap", "event")),
+    "lshaped": Method(_solve_lshaped, ("mod-ee",), 200,
+                      ("iteration", "master", "theta", "recourse", "gap",
+                       "cuts")),
+    "rm-asd": Method(_solve_rm_asd, ("asd",), 50,
+                     ("iteration", "eta", "lower", "upper", "gap", "s_plus",
+                      "s_minus", "cuts_added", "event")),
 }
 
 
 def run_solve(cfg):
     _validate_solve(cfg)
+    method = METHODS[cfg["method"]]
     pf = fileio.load_problem(cfg["in"])
     try:
         backend = get_backend(cfg["backend"])
@@ -293,35 +308,31 @@ def run_solve(cfg):
         raise UsageError(str(exc)) from None
     cfg["backend"] = backend.name
     if cfg["max_iters"] is None:
-        cfg["max_iters"] = 50 if cfg["method"] == "rm-asd" else 200
+        cfg["max_iters"] = method.max_iters
     cfg["history"] = _history_path(cfg["out"])
-
-    solver = {"dep": _solve_dep, "lshaped": _solve_lshaped,
-              "rm-asd": _solve_rm_asd}[cfg["method"]]
     try:
-        code, fields, history = solver(cfg, pf.problem, backend)
+        fields, history = method.runner(cfg, pf.problem, backend)
     except RuntimeError as exc:
         if "infeasible" not in str(exc).lower():
             raise
         print(f"error: {exc}", file=sys.stderr)
-        code, fields, history = EXIT_INFEASIBLE, dict(status="infeasible"), []
+        fields, history = dict(status="infeasible"), []
 
-    gp = fields.get("gap_percent")
-    if gp is not None and not np.isfinite(gp):
-        fields["gap_percent"] = None
+    lower, upper = fields.get("lower"), fields.get("upper")
+    gap = None
+    if lower is not None and upper is not None:
+        gap = util.gap_percent(lower, upper)
+        gap = gap if math.isfinite(gap) else None
     risk_doc = {"measure": RISK_TOKENS[cfg["risk"]], "rho": cfg["rho"],
                 "eta": cfg["eta"]}
-    extras = fields.pop("extras", {})
     fileio.save_result(cfg["out"], method=cfg["method"], risk=risk_doc,
                        backend=cfg["backend"], instance_name=pf.name,
                        instance_checksum=pf.checksum,
-                       counters=backend.stats.as_dict(), extras=extras,
-                       **fields)
-    fileio.write_history_csv(cfg["history"], history,
-                             _HISTORY_FIELDS[cfg["method"]])
-    _print_bounds(fields.get("lower"), fields.get("upper"),
-                  fields.get("gap_percent"))
-    return code
+                       counters=backend.stats.as_dict(), objective=upper,
+                       gap_percent=gap, **fields)
+    fileio.write_history_csv(cfg["history"], history, method.history)
+    _print_bounds(lower, upper, gap)
+    return STATUS_EXIT.get(fields["status"], EXIT_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +340,8 @@ def run_solve(cfg):
 
 
 def run_simulate(cfg):
+    if cfg["reps"] < 1:
+        raise UsageError("--reps must be at least 1")
     pf = fileio.load_problem(cfg["in"])
     if pf.kind != "mssop":
         raise UsageError(f"simulate needs an ordering instance, got kind "
@@ -350,10 +363,8 @@ def run_simulate(cfg):
         risk = plan_doc.get("risk") or {}
         measure = risk.get("measure", "expectation")
         token = {v: k for k, v in RISK_TOKENS.items()}.get(measure, measure)
-        if token == "neutral":
-            cfg["label"] = "neutral"
-        else:
-            cfg["label"] = f"{token}-{risk.get('rho')}"
+        cfg["label"] = (token if token == "neutral"
+                        else f"{token}-{risk.get('rho')}")
     plan = model.decode_plan(x)
     report = simulate_policy(pf.instance, plan, replications=cfg["reps"],
                              seed=cfg["seed"], label=cfg["label"],
@@ -373,7 +384,7 @@ def run_simulate(cfg):
 def _read_sim_table(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != SIM_FIELDS:
+        if reader.fieldnames != fileio.SIMULATION_FIELDS:
             raise UsageError(f"{path}: not a simulation table "
                              f"(columns {reader.fieldnames})")
         return [row for row in reader if row["replication"] != "mean"]
@@ -405,10 +416,7 @@ def run_report(cfg):
             "replenishment_cost": repr(replen),
             "mean_total_cost": repr(float(rec.mean()) + replen),
         })
-    fields = ["policy", "replications", "mean_lost_sales_events",
-              "mean_lost_sales_quantity", "mean_recourse_cost",
-              "replenishment_cost", "mean_total_cost"]
-    fileio.write_history_csv(cfg["out"], table, fields)
+    fileio.write_history_csv(cfg["out"], table, list(table[0]))
     for entry in table:
         print(f"policy={entry['policy']} reps={entry['replications']} "
               f"mean_events={float(entry['mean_lost_sales_events']):.4f} "
@@ -509,49 +517,10 @@ def execute(subcommand, cfg):
     wall = time.perf_counter() - start
     anchor = cfg.get("out")
     if subcommand in OUTPUT_KEYS and anchor:
-        inputs = [cfg[k] for k in INPUT_KEYS[subcommand] if cfg.get(k)]
-        if subcommand == "report":
-            inputs = list(cfg["inputs"])
-        outputs = []
-        for key in OUTPUT_KEYS[subcommand]:
-            if cfg.get(key):
-                outputs += _plot_files(cfg[key]) if key == "plots" else [cfg[key]]
-        _write_manifest(anchor + MANIFEST_SUFFIX, subcommand, cfg, inputs,
-                        outputs, wall, code)
+        _write_manifest(anchor + MANIFEST_SUFFIX, subcommand, cfg,
+                        _files(cfg, INPUT_KEYS[subcommand]),
+                        _files(cfg, OUTPUT_KEYS[subcommand]), wall, code)
     return code
-
-
-def _config_from_args(args):
-    sub = args.subcommand
-    if sub == "gen":
-        base = {"kind": args.kind, "scens": args.scens, "seed": args.seed,
-                "out": args.out}
-        if args.kind == "knapsack":
-            base.update(n1=args.n1, n2=args.n2, m1=args.m1, m2=args.m2)
-        else:
-            base.update(items=args.items, periods=args.periods,
-                        lumpy=args.lumpy)
-        return base
-    if sub == "solve":
-        return {"in": args.infile, "out": args.out, "risk": args.risk,
-                "rho": args.rho, "eta": args.eta, "method": args.method,
-                "backend": args.backend,
-                "threads": util.resolve_threads(args.threads),
-                "mip_gap": args.mip_gap, "node_cap": args.node_cap,
-                "tol": args.tol, "max_iters": args.max_iters,
-                "multicut": args.multicut,
-                "collapse_mean_row": args.collapse_mean_row,
-                "epsilon": args.epsilon, "xi": args.xi}
-    if sub == "simulate":
-        return {"in": args.infile, "plan": args.plan, "reps": args.reps,
-                "seed": args.seed, "zero_demand": args.zero_demand,
-                "label": args.label, "out": args.out}
-    if sub == "report":
-        return {"inputs": list(args.inputs), "out": args.out,
-                "plots": args.plots}
-    if sub == "rerun":
-        return {"manifest": args.manifest, "out_dir": args.out_dir}
-    raise ValueError(f"unknown subcommand {sub!r}")
 
 
 def build_parser():
@@ -587,16 +556,14 @@ def build_parser():
     gm.add_argument("--out", required=True, help="problem file to write")
 
     s = sub.add_parser("solve", help="solve a problem file")
-    s.add_argument("--in", dest="infile", required=True,
+    s.add_argument("--in", dest="in", required=True,
                    help="problem file to read")
-    s.add_argument("--risk", required=True,
-                   choices=("neutral", "ee", "mod-ee", "asd"))
+    s.add_argument("--risk", required=True, choices=tuple(RISK_TOKENS))
     s.add_argument("--rho", type=float, default=None,
                    help="risk weight in [0, 1]")
     s.add_argument("--eta", type=float, default=None,
                    help="excess target (ee and mod-ee only)")
-    s.add_argument("--method", default="dep",
-                   choices=("dep", "lshaped", "rm-asd"))
+    s.add_argument("--method", default="dep", choices=tuple(METHODS))
     s.add_argument("--backend", default="scipy", choices=("scipy",),
                    help="solver (HiGHS through scipy)")
     s.add_argument("--threads", type=int, default=None,
@@ -618,7 +585,7 @@ def build_parser():
     s.add_argument("--out", required=True, help="result file to write")
 
     sim = sub.add_parser("simulate", help="simulate a plan on fresh demand")
-    sim.add_argument("--in", dest="infile", required=True,
+    sim.add_argument("--in", dest="in", required=True,
                      help="ordering-instance problem file")
     sim.add_argument("--plan", required=True,
                      help="result file holding the first-stage plan")
@@ -647,9 +614,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
-    return execute(args.subcommand, cfg)
+    cfg = vars(build_parser().parse_args(argv))
+    subcommand = cfg.pop("subcommand")
+    if "threads" in cfg:
+        cfg["threads"] = util.resolve_threads(cfg["threads"])
+    return execute(subcommand, cfg)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,10 @@ RESULT_SUFFIX = ".result.json"
 HISTORY_SUFFIX = ".history.csv"
 SIM_SUFFIX = ".sim.csv"
 KINDS = ("generic-sp2", "knapsack", "mssop")
+# Columns of a simulation table (write_simulation_csv; read by cli report).
+SIMULATION_FIELDS = ["policy", "replication", "lost_sales_events",
+                     "lost_sales_quantity", "recourse_cost",
+                     "replenishment_cost"]
 
 
 class ParseError(Exception):
@@ -242,8 +246,6 @@ def write_history_csv(path, rows, fields):
 
 def write_simulation_csv(path, reports):
     """One row per (policy, replication), plus a "mean" row per policy."""
-    fields = ["policy", "replication", "lost_sales_events",
-              "lost_sales_quantity", "recourse_cost", "replenishment_cost"]
     rows = []
     for rep in reports:
         for r in range(rep.replications):
@@ -261,4 +263,4 @@ def write_simulation_csv(path, reports):
             "recourse_cost": repr(float(rep.mean_recourse_cost)),
             "replenishment_cost": repr(float(rep.replenishment_cost)),
         })
-    write_history_csv(path, rows, fields)
+    write_history_csv(path, rows, SIMULATION_FIELDS)

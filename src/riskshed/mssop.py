@@ -87,6 +87,10 @@ def generate_mssop_instance(num_items, num_periods, num_scenarios,
                             initial_inventory=0.0) -> MssopInstance:
     """Random instance with N(100,10) demand, a lumpy cell subset at
     N(150,20), and the fixed freight schedule."""
+    if min(num_items, num_periods, num_scenarios) < 1:
+        raise ValueError("items, periods and scenarios must each be at least 1")
+    if not 0.0 <= lumpy_fraction <= 1.0:
+        raise ValueError("lumpy fraction must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
     holding = rng.uniform(50.0, 100.0, num_items)
     setup = rng.uniform(500.0, 1000.0, num_items)

@@ -14,7 +14,8 @@ import pytest
 
 from riskshed import cli, fileio, util
 from riskshed.knapsack import KnapsackGenSpec, audit_dimensions, generate_knapsack
-from riskshed.model import RiskMeasure, RiskSpec, Scenario, TwoStageProblem
+from riskshed.model import (RiskMeasure, RiskSpec, Scenario, TwoStageProblem,
+                            evaluate_objective)
 from riskshed.oracle import brute_force_optimum
 
 
@@ -122,6 +123,26 @@ def test_rm_asd_history_columns(knap_file, tmp_path):
                       "cuts_added,event")
 
 
+@pytest.mark.parametrize("extra, status, code", [
+    ([], "converged", 0), (["--max-iters", "1"], "iteration_cap", 4)])
+def test_solve_lshaped_writes_result_history_manifest(knap_file, tmp_path,
+                                                      extra, status, code):
+    out = str(tmp_path / "ls.result.json")
+    assert run("solve", "--in", knap_file, "--risk", "mod-ee", "--rho", "0.4",
+               "--eta", "-2200", "--method", "lshaped", "--out", out,
+               *extra) == code
+    doc = fileio.load_result(out)
+    assert doc["status"] == status
+    assert cli.load_manifest(out + cli.MANIFEST_SUFFIX)["exit_status"] == code
+    header = open(str(tmp_path / "ls.history.csv")).readline().strip()
+    assert header == "iteration,master,theta,recourse,gap,cuts"
+    spec = RiskSpec(RiskMeasure.MODIFIED_EXPECTED_EXCESS, rho=0.4, eta=-2200.0)
+    problem = fileio.load_problem(knap_file).problem
+    assert doc["objective"] == evaluate_objective(problem, np.array(doc["x"]),
+                                                  spec)
+    assert doc["lower"] <= doc["objective"] == doc["upper"]
+
+
 def test_dispatch_rules_exit_2(knap_file, tmp_path):
     out = str(tmp_path / "x.result.json")
     bad = [
@@ -147,12 +168,59 @@ def test_dispatch_rules_exit_2(knap_file, tmp_path):
      "xi must be finite and positive"),
     (["--risk", "asd", "--rho", "0.5", "--method", "rm-asd", "--epsilon",
       "nan"], "epsilon must be finite and positive"),
-], ids=["eta-inf", "eta-nan", "xi-nan", "xi-inf", "epsilon-nan"])
+    (["--risk", "neutral", "--mip-gap", "-1"],
+     "--mip-gap must be finite and non-negative"),
+    (["--risk", "neutral", "--mip-gap", "nan"],
+     "--mip-gap must be finite and non-negative"),
+    (["--risk", "neutral", "--mip-gap", "inf"],
+     "--mip-gap must be finite and non-negative"),
+    (["--risk", "neutral", "--node-cap", "-5"], "--node-cap must be at least 1"),
+    (["--risk", "neutral", "--node-cap", "0"], "--node-cap must be at least 1"),
+    (["--risk", "mod-ee", "--rho", "0.4", "--eta", "-2200", "--method",
+      "lshaped", "--max-iters", "0"], "--max-iters must be at least 1"),
+    (["--risk", "asd", "--rho", "0.5", "--method", "rm-asd", "--max-iters",
+      "-3"], "--max-iters must be at least 1"),
+    (["--risk", "mod-ee", "--rho", "0.4", "--eta", "-2200", "--method",
+      "lshaped", "--tol", "nan"], "--tol must be finite and positive"),
+    (["--risk", "mod-ee", "--rho", "0.4", "--eta", "-2200", "--method",
+      "lshaped", "--tol", "-1"], "--tol must be finite and positive"),
+], ids=["eta-inf", "eta-nan", "xi-nan", "xi-inf", "epsilon-nan", "mip-gap--1",
+        "mip-gap-nan", "mip-gap-inf", "node-cap--5", "node-cap-0",
+        "max-iters-0", "max-iters--3", "tol-nan", "tol--1"])
 def test_non_finite_inputs_exit_2(knap_file, tmp_path, capsys, extra, message):
     capsys.readouterr()
     out = str(tmp_path / "x.result.json")
     assert run("solve", "--in", knap_file, "--out", out, *extra) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "mssop", "--items", "2", "--periods", "2", "--scens", "0"],
+     "items, periods and scenarios must each be at least 1"),
+    (["gen", "mssop", "--items", "0", "--periods", "2", "--scens", "3"],
+     "items, periods and scenarios must each be at least 1"),
+    (["gen", "mssop", "--items", "2", "--periods", "0", "--scens", "3"],
+     "items, periods and scenarios must each be at least 1"),
+    (["gen", "mssop", "--items", "2", "--periods", "2", "--scens", "3",
+      "--lumpy", "2"], "lumpy fraction must lie in [0, 1]"),
+    (["gen", "mssop", "--items", "2", "--periods", "2", "--scens", "3",
+      "--lumpy", "nan"], "lumpy fraction must lie in [0, 1]"),
+    (["simulate", "--reps", "0"], "--reps must be at least 1"),
+    (["simulate", "--reps", "-2"], "--reps must be at least 1"),
+], ids=["scens-0", "items-0", "periods-0", "lumpy-2", "lumpy-nan", "reps-0",
+        "reps--2"])
+def test_bad_sizes_exit_2(mssop_file, tmp_path, capsys, argv, message):
+    if argv[0] == "simulate":
+        plan = str(tmp_path / "plan.result.json")
+        assert run("solve", "--in", mssop_file, "--risk", "neutral",
+                   "--mip-gap", "1e-4", "--out", plan) == 0
+        argv = argv + ["--in", mssop_file, "--plan", plan]
+    capsys.readouterr()
+    out = str(tmp_path / "bad.out")
+    assert run(*argv, "--out", out) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -423,6 +491,32 @@ def test_manifest_is_json_with_config(knap_file):
     assert doc["config"]["seed"] == 4
     assert doc["outputs"] == [knap_file]
     assert doc["wall_time"] >= 0.0
+
+
+def test_manifest_config_keys(knap_file, mssop_file, tmp_path):
+    # Each subcommand's config is read straight from its parser; pin the
+    # keys so that a new or dropped argument shows here.
+    plan = str(tmp_path / "plan.result.json")
+    sim = str(tmp_path / "plan.sim.csv")
+    agg = str(tmp_path / "agg.csv")
+    assert run("solve", "--in", mssop_file, "--risk", "neutral",
+               "--mip-gap", "1e-4", "--out", plan) == 0
+    assert run("simulate", "--in", mssop_file, "--plan", plan, "--reps", "2",
+               "--out", sim) == 0
+    assert run("report", "--inputs", sim, "--out", agg) == 0
+    expected = {
+        knap_file: {"kind", "n1", "n2", "m1", "m2", "scens", "seed", "out"},
+        mssop_file: {"kind", "items", "periods", "scens", "seed", "lumpy",
+                     "out"},
+        plan: {"in", "out", "history", "risk", "rho", "eta", "method",
+               "backend", "threads", "mip_gap", "node_cap", "tol",
+               "max_iters", "multicut", "collapse_mean_row", "epsilon", "xi"},
+        sim: {"in", "plan", "reps", "seed", "zero_demand", "label", "out"},
+        agg: {"inputs", "out", "plots"},
+    }
+    for path, keys in expected.items():
+        doc = cli.load_manifest(path + cli.MANIFEST_SUFFIX)
+        assert set(doc["config"]) == keys, path
 
 
 def test_manifest_checksums_cover_inputs_and_outputs(knap_file, tmp_path):
