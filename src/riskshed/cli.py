@@ -6,9 +6,13 @@ manifest stores the fully materialized config, so ``rerun`` can replay any
 run with its outputs redirected into a fresh directory; result files from
 a replay are byte-identical to the originals.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 infeasible or
-unbounded model, 4 iteration/node cap reached (partial result still
-written).
+``METHODS`` states, per ``solve --method``, the method flags its runner
+reads and their defaults; a method flag the chosen method does not read is
+a usage error, and the manifest records it as null.
+
+Exit codes: 0 success, 2 usage or configuration error (no manifest is
+written), 3 infeasible or unbounded model, 4 iteration/node cap reached
+(partial result still written).
 """
 from __future__ import annotations
 
@@ -132,7 +136,7 @@ def _write_manifest(path, subcommand, config, inputs, outputs, wall_time,
         "checksums": {f: _sha256(f) for f in files if os.path.isfile(f)},
         "wall_time": wall_time, "exit_status": exit_status,
     }
-    fileio._atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    fileio._write_json(path, doc)
 
 
 def load_manifest(path) -> dict:
@@ -210,17 +214,24 @@ def _validate_solve(cfg):
             raise UsageError("--eta must be finite")
     elif eta is not None:
         raise UsageError("--eta applies to the excess measures only")
-    risks = METHODS[method].risks
+    risks, flags = METHODS[method].risks, METHODS[method].flags
     if risk not in risks:
         raise UsageError(f"--method {method} supports --risk "
                          f"{' or '.join(risks)} only")
-    if not 0.0 <= cfg["mip_gap"] < math.inf:
+    for name in METHOD_FLAGS:
+        if cfg[name] is not None and name not in flags:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to "
+                             f"--method {method}")
+    for name, default in flags.items():
+        if cfg[name] is None:
+            cfg[name] = default
+    if "mip_gap" in flags and not 0.0 <= cfg["mip_gap"] < math.inf:
         raise UsageError("--mip-gap must be finite and non-negative")
-    if cfg["node_cap"] < 1:
+    if "node_cap" in flags and cfg["node_cap"] < 1:
         raise UsageError("--node-cap must be at least 1")
-    if not 0.0 < cfg["tol"] < math.inf:
+    if "tol" in flags and not 0.0 < cfg["tol"] < math.inf:
         raise UsageError("--tol must be finite and positive")
-    if cfg["max_iters"] is not None and cfg["max_iters"] < 1:
+    if "max_iters" in flags and cfg["max_iters"] < 1:
         raise UsageError("--max-iters must be at least 1")
 
 
@@ -280,22 +291,27 @@ def _solve_rm_asd(cfg, problem, backend):
     return fields, state.history
 
 
-# --method -> its runner, the --risk tokens it accepts, its default
-# --max-iters (recorded in the manifest) and its history CSV columns.  A
+# --method -> its runner, the --risk tokens it accepts, the method flags
+# the runner reads with their defaults, and its history CSV columns.  A
 # runner returns (fields, history); fields hold the status, the lower and
 # upper bounds, the first-stage x and optional extras, and upper is the
 # objective of x.
-Method = collections.namedtuple("Method", "runner risks max_iters history")
+Method = collections.namedtuple("Method", "runner risks flags history")
 METHODS = {
-    "dep": Method(_solve_dep, tuple(RISK_TOKENS), 200,
+    "dep": Method(_solve_dep, tuple(RISK_TOKENS),
+                  {"mip_gap": 1e-6, "node_cap": 200_000,
+                   "collapse_mean_row": False},
                   ("iteration", "lower", "upper", "gap", "event")),
-    "lshaped": Method(_solve_lshaped, ("mod-ee",), 200,
+    "lshaped": Method(_solve_lshaped, ("mod-ee",),
+                      {"tol": 1e-6, "max_iters": 200, "multicut": False},
                       ("iteration", "master", "theta", "recourse", "gap",
                        "cuts")),
-    "rm-asd": Method(_solve_rm_asd, ("asd",), 50,
+    "rm-asd": Method(_solve_rm_asd, ("asd",),
+                     {"max_iters": 50, "epsilon": None, "xi": None},
                      ("iteration", "eta", "lower", "upper", "gap", "s_plus",
                       "s_minus", "cuts_added", "event")),
 }
+METHOD_FLAGS = tuple(dict.fromkeys(f for m in METHODS.values() for f in m.flags))
 
 
 def run_solve(cfg):
@@ -307,8 +323,6 @@ def run_solve(cfg):
     except ValueError as exc:     # a manifest naming a removed backend
         raise UsageError(str(exc)) from None
     cfg["backend"] = backend.name
-    if cfg["max_iters"] is None:
-        cfg["max_iters"] = method.max_iters
     cfg["history"] = _history_path(cfg["out"])
     try:
         fields, history = method.runner(cfg, pf.problem, backend)
@@ -484,6 +498,11 @@ def run_rerun(cfg):
     if sub not in OUTPUT_KEYS:
         raise UsageError(f"cannot rerun subcommand '{sub}'")
     inner = dict(doc["config"])
+    if sub == "solve":
+        # older manifests record every method flag, read or not
+        for name in METHOD_FLAGS:
+            if name not in METHODS[inner["method"]].flags:
+                inner[name] = None
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     for key in OUTPUT_KEYS[sub]:
@@ -516,7 +535,7 @@ def execute(subcommand, cfg):
         code = EXIT_USAGE
     wall = time.perf_counter() - start
     anchor = cfg.get("out")
-    if subcommand in OUTPUT_KEYS and anchor:
+    if subcommand in OUTPUT_KEYS and anchor and code != EXIT_USAGE:
         _write_manifest(anchor + MANIFEST_SUFFIX, subcommand, cfg,
                         _files(cfg, INPUT_KEYS[subcommand]),
                         _files(cfg, OUTPUT_KEYS[subcommand]), wall, code)
@@ -568,15 +587,16 @@ def build_parser():
                    help="solver (HiGHS through scipy)")
     s.add_argument("--threads", type=int, default=None,
                    help="worker cap; RISKSHED_THREADS as fallback")
-    s.add_argument("--mip-gap", dest="mip_gap", type=float, default=1e-6)
-    s.add_argument("--node-cap", dest="node_cap", type=int, default=200_000)
-    s.add_argument("--tol", type=float, default=1e-6,
+    # Method flags: None means unset; see METHODS for who reads which.
+    s.add_argument("--mip-gap", dest="mip_gap", type=float, default=None)
+    s.add_argument("--node-cap", dest="node_cap", type=int, default=None)
+    s.add_argument("--tol", type=float, default=None,
                    help="decomposition convergence tolerance")
     s.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    s.add_argument("--multicut", action="store_true",
+    s.add_argument("--multicut", action="store_true", default=None,
                    help="one cut per scenario in the shaped master")
     s.add_argument("--collapse-mean-row", dest="collapse_mean_row",
-                   action="store_true",
+                   action="store_true", default=None,
                    help="sparse semideviation extensive form")
     s.add_argument("--epsilon", type=float, default=None,
                    help="absolute gap target for the bounding driver")

@@ -5,8 +5,8 @@ Every builder lays variables out as
     [ x (n1) | y_0 .. y_{S-1} (n2 each) | v_0 .. v_{S-1} (risk measures only) ]
 
 and rows as first-stage block, per-scenario recourse blocks, then the
-measure's linking rows.  Index maps into both dimensions are returned with
-the assembled program so callers can pin, relax or decode solutions without
+measure's linking rows.  A variable index map is returned with the
+assembled program so callers can pin, relax or decode solutions without
 guessing offsets.
 
 The absolute-semideviation form keeps the first-stage cost c'x in the
@@ -33,7 +33,6 @@ class DepArtifact:
 
     program: MixedBinaryProgram
     var_index: dict
-    row_index: dict
 
     @property
     def stats(self):
@@ -74,31 +73,28 @@ def _layout(problem, num_links, num_v, v_free, num_aux=0):
         if v_free:
             lower[v_base + k] = -np.inf
 
-    row_index = {"first_stage": slice(0, m1)}
     lhs[0:m1, 0:n1] = problem.first_stage_matrix
     rhs[0:m1] = problem.first_stage_rhs
     for k, s in enumerate(problem.scenarios):
         rsl = slice(m1 + k * m2, m1 + (k + 1) * m2)
-        row_index[("recourse", k)] = rsl
         lhs[rsl, 0:n1] = s.technology
         lhs[rsl, var_index[("y", k)]] = s.recourse
         rhs[rsl] = s.rhs
 
-    return lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index
+    return lhs, rhs, senses, obj, lower, upper, binary, var_index
 
 
-def _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
-                 y_weight, eta=0.0, x_coef=None):
+def _excess_rows(problem, lhs, rhs, senses, obj, var_index, rho, y_weight,
+                 eta=0.0, x_coef=None):
     """Weight y_w by y_weight p_w q_w and v_w by rho p_w in the objective,
-    and fill the ("excess", w) row  x_coef'x + q_w'y_w - v_w <= eta  of
-    each scenario, in order after the recourse blocks (no x term when
-    x_coef is None)."""
+    and fill the excess row  x_coef'x + q_w'y_w - v_w <= eta  of each
+    scenario, in order after the recourse blocks (no x term when x_coef is
+    None)."""
     base = problem.m1 + problem.num_scenarios * problem.m2
     for k, s in enumerate(problem.scenarios):
         obj[var_index[("y", k)]] = y_weight * s.probability * s.cost
         obj[var_index[("v", k)]] = rho * s.probability
         r = base + k
-        row_index[("excess", k)] = r
         if x_coef is not None:
             lhs[r, var_index["x"]] = x_coef
         lhs[r, var_index[("y", k)]] = s.cost
@@ -107,22 +103,22 @@ def _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
         rhs[r] = eta
 
 
-def _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index):
+def _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index):
     lp = LinearProgram(objective=obj, lhs=lhs, senses=senses, rhs=rhs,
                        lower=lower, upper=upper)
     return DepArtifact(program=MixedBinaryProgram(lp=lp, binary=binary),
-                       var_index=var_index, row_index=row_index)
+                       var_index=var_index)
 
 
 def build_dep_expectation(problem: TwoStageProblem) -> DepArtifact:
     """Risk-neutral extensive form: min c'x + sum_w p_w q_w'y_w."""
     require_valid(problem)
     (lhs, rhs, senses, obj, lower, upper, binary,
-     var_index, row_index) = _layout(problem, 0, 0, False)
+     var_index) = _layout(problem, 0, 0, False)
     obj[var_index["x"]] = problem.first_stage_cost
     for k, s in enumerate(problem.scenarios):
         obj[var_index[("y", k)]] = s.probability * s.cost
-    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index)
+    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index)
 
 
 def build_dep_expected_excess(problem, rho, eta) -> DepArtifact:
@@ -137,11 +133,11 @@ def build_dep_expected_excess(problem, rho, eta) -> DepArtifact:
     require_valid(problem)
     S = problem.num_scenarios
     (lhs, rhs, senses, obj, lower, upper, binary,
-     var_index, row_index) = _layout(problem, S, S, False)
+     var_index) = _layout(problem, S, S, False)
     obj[var_index["x"]] = (1.0 + rho) * problem.first_stage_cost
-    _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
+    _excess_rows(problem, lhs, rhs, senses, obj, var_index, rho,
                  y_weight=1.0, eta=eta)
-    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index)
+    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index)
 
 
 def build_dep_modified_expected_excess(problem, rho, eta) -> DepArtifact:
@@ -154,11 +150,11 @@ def build_dep_modified_expected_excess(problem, rho, eta) -> DepArtifact:
     S = problem.num_scenarios
     c = problem.first_stage_cost
     (lhs, rhs, senses, obj, lower, upper, binary,
-     var_index, row_index) = _layout(problem, S, S, False)
+     var_index) = _layout(problem, S, S, False)
     obj[var_index["x"]] = (1.0 - rho) * c
-    _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
+    _excess_rows(problem, lhs, rhs, senses, obj, var_index, rho,
                  y_weight=1.0 - rho, eta=eta, x_coef=c)
-    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index)
+    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index)
 
 
 def build_dep_absolute_semideviation(problem, rho,
@@ -168,8 +164,8 @@ def build_dep_absolute_semideviation(problem, rho,
     Objective c'x + (1-rho) sum p q'y + rho sum p v with, per scenario, both
     linking rows
 
-        q_w'y_w           <= v_w      ("excess", w)
-        sum_j p_j q_j'y_j <= v_w      ("mean_link", w)
+        q_w'y_w           <= v_w      (excess row)
+        sum_j p_j q_j'y_j <= v_w      (mean link)
 
     and v free.  The first-stage cost stays out of the rows because both
     arguments of the semideviation's max carry it and the probabilities
@@ -181,7 +177,7 @@ def build_dep_absolute_semideviation(problem, rho,
     so v_w here is the total-cost v_w less c'x, and the optimum is the
     same.  The mean row is emitted once per scenario, as stated; with
     collapse_mean_row=True a free mean-cost variable m is defined once by
-    sum_j p_j q_j'y_j = m ("mean_def") and each mean link reads m <= v_w
+    sum_j p_j q_j'y_j = m and each mean link reads m <= v_w
     instead (same optimum, fewer dense rows).
     """
     require_valid(problem)
@@ -190,16 +186,15 @@ def build_dep_absolute_semideviation(problem, rho,
     num_links = 2 * S if not collapse_mean_row else (2 * S + 1)
     num_aux = 0 if not collapse_mean_row else 1
     (lhs, rhs, senses, obj, lower, upper, binary,
-     var_index, row_index) = _layout(problem, num_links, S, True, num_aux)
+     var_index) = _layout(problem, num_links, S, True, num_aux)
     obj[var_index["x"]] = problem.first_stage_cost
-    _excess_rows(problem, lhs, rhs, senses, obj, var_index, row_index, rho,
+    _excess_rows(problem, lhs, rhs, senses, obj, var_index, rho,
                  y_weight=1.0 - rho)
     base = problem.m1 + S * problem.m2
 
     if not collapse_mean_row:
         for k in range(S):
             r = base + S + k
-            row_index[("mean_link", k)] = r
             for j, sj in enumerate(problem.scenarios):
                 lhs[r, var_index[("y", j)]] = p[j] * sj.cost
             lhs[r, var_index[("v", k)]] = -1.0
@@ -209,18 +204,16 @@ def build_dep_absolute_semideviation(problem, rho,
         var_index["mean_cost"] = aux
         lower[aux] = -np.inf
         r = base + S
-        row_index["mean_def"] = r
         for j, sj in enumerate(problem.scenarios):
             lhs[r, var_index[("y", j)]] = p[j] * sj.cost
         lhs[r, aux] = -1.0
         senses[r] = "="
         for k in range(S):
             rr = base + S + 1 + k
-            row_index[("mean_link", k)] = rr
             lhs[rr, aux] = 1.0
             lhs[rr, var_index[("v", k)]] = -1.0
             senses[rr] = "<="
-    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index, row_index)
+    return _finish(lhs, rhs, senses, obj, lower, upper, binary, var_index)
 
 
 BUILDERS = {
@@ -244,8 +237,7 @@ def pin_first_stage(artifact: DepArtifact, x) -> DepArtifact:
                            rhs=lp.rhs, lower=lower, upper=upper)
     return DepArtifact(
         program=MixedBinaryProgram(lp=new_lp, binary=artifact.program.binary.copy()),
-        var_index=artifact.var_index, row_index=artifact.row_index,
-    )
+        var_index=artifact.var_index)
 
 
 def relax_second_stage(artifact: DepArtifact) -> DepArtifact:
@@ -256,5 +248,4 @@ def relax_second_stage(artifact: DepArtifact) -> DepArtifact:
             binary[sl] = False
     return DepArtifact(
         program=MixedBinaryProgram(lp=artifact.program.lp, binary=binary),
-        var_index=artifact.var_index, row_index=artifact.row_index,
-    )
+        var_index=artifact.var_index)

@@ -59,7 +59,9 @@ def _checksum(doc):
     return "sha256:" + hashlib.sha256(_canonical_bytes(body)).hexdigest()
 
 
-def _atomic_write(path, text):
+def _write_json(path, doc):
+    """Write doc as strict JSON (a NaN or infinity raises), atomically."""
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -69,7 +71,7 @@ def _atomic_write(path, text):
 def _dump(doc, path):
     doc = dict(doc)
     doc["checksum"] = _checksum(doc)
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_json(path, doc)
     return doc["checksum"]
 
 

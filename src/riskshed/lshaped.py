@@ -138,27 +138,18 @@ def solve_subproblems(problem, rho, x, eta, backend: Backend, threads=None):
 
 
 def cuts_from_duals(problem, sub_results, multicut=False):
-    """Aggregate scenario duals into one cut, or one cut per scenario."""
+    """One cut per scenario, or their sum (in scenario order) as one cut."""
     p = problem.probabilities
-    made = []
+    made = [OptimalityCut(coef=p[k] * (meta["x_block"].T @ duals),
+                          rhs_base=p[k] * float(duals @ meta["rhs_base"]),
+                          eta_coef=p[k] * float(duals[meta["eta_row"]]),
+                          scenario=k)
+            for k, (_, duals, meta) in enumerate(sub_results)]
     if multicut:
-        for k, (_, duals, meta) in enumerate(sub_results):
-            made.append(OptimalityCut(
-                coef=p[k] * (meta["x_block"].T @ duals),
-                rhs_base=p[k] * float(duals @ meta["rhs_base"]),
-                eta_coef=p[k] * float(duals[meta["eta_row"]]),
-                scenario=k))
         return made
-    coef = np.zeros(problem.n1)
-    rhs_base = 0.0
-    eta_coef = 0.0
-    for k, (_, duals, meta) in enumerate(sub_results):
-        coef += p[k] * (meta["x_block"].T @ duals)
-        rhs_base += p[k] * float(duals @ meta["rhs_base"])
-        eta_coef += p[k] * float(duals[meta["eta_row"]])
-    made.append(OptimalityCut(coef=coef, rhs_base=rhs_base,
-                              eta_coef=eta_coef))
-    return made
+    return [OptimalityCut(coef=sum((c.coef for c in made), np.zeros(problem.n1)),
+                          rhs_base=sum(c.rhs_base for c in made),
+                          eta_coef=sum(c.eta_coef for c in made))]
 
 
 def build_master(problem, rho, pool: CutPool, eta, multicut=False):

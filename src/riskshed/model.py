@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import map_ordered, resolve_threads
+from .util import map_ordered
 
 # Probability sums farther than this from 1 are rejected; closer mismatches
 # are renormalized with a warning.
@@ -307,12 +307,9 @@ def evaluate_scenario_cost(problem, x, index, backend=None):
 
 def scenario_costs(problem, x, backend=None, threads=None):
     """Vector of exact second-stage costs, one per scenario."""
-    workers = resolve_threads(threads)
-    indices = range(problem.num_scenarios)
     vals = map_ordered(
         lambda k: evaluate_scenario_cost(problem, x, k, backend=backend),
-        indices, threads=workers,
-    )
+        range(problem.num_scenarios), threads=threads)
     return np.array(vals, dtype=float)
 
 
@@ -359,14 +356,11 @@ def evaluate_objective(problem, x, spec, backend=None, excess_on="total",
 
 @dataclass
 class FirstStageSolution:
-    """A first-stage decision with its objective breakdown."""
+    """A first-stage decision with its objective and scenario totals."""
 
     x: np.ndarray
     objective: float
-    first_stage_cost: float
     scenario_totals: np.ndarray   # f_w = c'x + q'y*(w)
-    expectation: float            # sum p_w f_w
-    risk_term: float              # objective - expectation contribution detail
 
 
 def evaluate_solution(problem, x, spec, backend=None, excess_on="total",
@@ -378,10 +372,6 @@ def evaluate_solution(problem, x, spec, backend=None, excess_on="total",
     phi = scenario_costs(problem, x, backend=backend, threads=threads)
     cx = float(problem.first_stage_cost @ x)
     f = cx + phi
-    p = problem.probabilities
-    fbar = float(p @ f)
-    value = risk_functional(f, p, spec, first_stage_cost=cx, excess_on=excess_on)
-    return FirstStageSolution(
-        x=x.copy(), objective=value, first_stage_cost=cx,
-        scenario_totals=f, expectation=fbar, risk_term=value - fbar,
-    )
+    value = risk_functional(f, problem.probabilities, spec, first_stage_cost=cx,
+                            excess_on=excess_on)
+    return FirstStageSolution(x=x.copy(), objective=value, scenario_totals=f)

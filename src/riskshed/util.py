@@ -34,14 +34,16 @@ def resolve_threads(threads=None):
     return 1
 
 
-def map_ordered(fn, items, threads=1):
-    """Map fn over items, preserving order. threads > 1 uses a thread pool.
+def map_ordered(fn, items, threads=None):
+    """Map fn over items, preserving order. threads > 1 uses a thread pool;
+    None resolves as in resolve_threads.
 
     Results are collected in input order either way, so callers see the same
     reduction sequence regardless of the worker count.
     """
     items = list(items)
-    if threads and threads > 1 and len(items) > 1:
+    threads = resolve_threads(threads)
+    if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

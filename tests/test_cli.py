@@ -193,6 +193,51 @@ def test_non_finite_inputs_exit_2(knap_file, tmp_path, capsys, extra, message):
     assert run("solve", "--in", knap_file, "--out", out, *extra) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not os.path.exists(out)
+    assert not os.path.exists(out + cli.MANIFEST_SUFFIX)
+
+
+# The method flags each --method reads; every other one is a usage error.
+READS = {"dep": ("mip_gap", "node_cap", "collapse_mean_row"),
+         "lshaped": ("tol", "max_iters", "multicut"),
+         "rm-asd": ("max_iters", "epsilon", "xi")}
+FLAG_ARGV = {"mip_gap": ["--mip-gap", "1e-4"], "node_cap": ["--node-cap", "10"],
+             "collapse_mean_row": ["--collapse-mean-row"],
+             "tol": ["--tol", "1e-4"], "max_iters": ["--max-iters", "7"],
+             "multicut": ["--multicut"], "epsilon": ["--epsilon", "0.5"],
+             "xi": ["--xi", "3"]}
+RISK_ARGV = {"dep": ["--risk", "neutral"],
+             "lshaped": ["--risk", "mod-ee", "--rho", "0.4", "--eta", "-2200"],
+             "rm-asd": ["--risk", "asd", "--rho", "0.5"]}
+UNREAD = [(method, flag) for method, reads in READS.items()
+          for flag in FLAG_ARGV if flag not in reads]
+
+
+@pytest.mark.parametrize("method, flag", UNREAD,
+                         ids=[f"{m}-{f}" for m, f in UNREAD])
+def test_unread_method_flag_exits_2(knap_file, tmp_path, capsys, method, flag):
+    capsys.readouterr()
+    out = str(tmp_path / "x.result.json")
+    assert run("solve", "--in", knap_file, *RISK_ARGV[method], "--method",
+               method, *FLAG_ARGV[flag], "--out", out) == 2
+    option = FLAG_ARGV[flag][0]
+    assert (f"error: {option} does not apply to --method {method}"
+            in capsys.readouterr().err)
+    for path in (out, out + cli.MANIFEST_SUFFIX, cli._history_path(out)):
+        assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("risk", [["neutral"], ["asd", "--rho", "0.5"]],
+                         ids=["neutral", "asd"])
+def test_ordering_benchmark_argv_exits_0(mssop_file, tmp_path, risk):
+    # the argv of the benchmark's ordering pipeline, for both objectives
+    out = str(tmp_path / "plan.result.json")
+    assert run("solve", "--in", mssop_file, "--risk", *risk, "--method",
+               "dep", "--collapse-mean-row", "--mip-gap", "1e-4", "--backend",
+               "scipy", "--threads", "1", "--out", out) == 0
+    config = cli.load_manifest(out + cli.MANIFEST_SUFFIX)["config"]
+    assert config["collapse_mean_row"] is True and config["mip_gap"] == 1e-4
+    assert [config[k] for k in ("tol", "max_iters", "multicut", "epsilon",
+                                "xi")] == [None] * 5
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -425,6 +470,28 @@ def test_rerun_ignores_a_removed_config_key(knap_file, tmp_path):
     assert replayed == open(out, "rb").read()
 
 
+def test_rerun_replays_a_manifest_recording_unread_flags(knap_file, tmp_path):
+    # Older manifests record every method flag; dep never read these three.
+    out = str(tmp_path / "a" / "n.result.json")
+    os.makedirs(tmp_path / "a")
+    assert run("solve", "--in", knap_file, "--risk", "neutral",
+               "--out", out) == 0
+    manifest = out + cli.MANIFEST_SUFFIX
+    doc = json.load(open(manifest))
+    doc["config"].update(tol=1e-6, max_iters=200, multicut=False)
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    replay_dir = tmp_path / "b"
+    assert run("rerun", "--manifest", manifest, "--out-dir",
+               str(replay_dir)) == 0
+    for name in ("n.result.json", "n.history.csv"):
+        assert ((replay_dir / name).read_bytes()
+                == (tmp_path / "a" / name).read_bytes())
+    replayed = cli.load_manifest(str(replay_dir / "n.result.json")
+                                 + cli.MANIFEST_SUFFIX)["config"]
+    assert [replayed[k] for k in ("tol", "max_iters", "multicut")] == [None] * 3
+
+
 def test_rerun_rejects_a_removed_backend(knap_file, tmp_path, capsys):
     # A manifest can name a backend that no longer exists.
     out = str(tmp_path / "a" / "n.result.json")
@@ -448,10 +515,10 @@ def test_two_threads_replay_one_thread(knap_file, tmp_path, method):
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}" / "asd.result.json"
         out.parent.mkdir()
+        cap = ["--max-iters", "8"] if method == "rm-asd" else []
         code = run("solve", "--in", knap_file, "--risk", "asd", "--rho",
-                   "0.5", "--method", method, "--max-iters", "8",
-                   "--threads", threads, "--backend", "scipy",
-                   "--out", str(out))
+                   "0.5", "--method", method, *cap, "--threads", threads,
+                   "--backend", "scipy", "--out", str(out))
         history = out.parent / "asd.history.csv"
         results.append((code, out.read_bytes(), history.read_bytes()))
     assert results[0][0] in (0, 4)

@@ -117,11 +117,10 @@ def test_asd_linking_rows_leave_first_stage_out():
         art = build_dep_absolute_semideviation(problem, 0.7,
                                                collapse_mean_row=collapse)
         lhs, xsl = art.program.lp.lhs, art.var_index["x"]
-        rows = [r for key, r in art.row_index.items()
-                if key == "mean_def"
-                or isinstance(key, tuple) and key[0] in ("excess", "mean_link")]
-        assert len(rows) == 2 * 3 + collapse
-        assert not lhs[rows, xsl].any()
+        # the linking rows follow the first-stage and recourse blocks
+        rows = lhs[problem.m1 + 3 * problem.m2:]
+        assert rows.shape[0] == 2 * 3 + collapse
+        assert not rows[:, xsl].any()
         assert np.array_equal(art.program.lp.objective[xsl],
                               problem.first_stage_cost)
 

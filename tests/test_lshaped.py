@@ -6,6 +6,7 @@ cuts must be tight at the generating iterate and remain valid after eta
 rebasing.
 """
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from riskshed.lshaped import (
     THETA_FLOOR, CutPool, OptimalityCut, build_master, build_subproblem_lp,
     cuts_from_duals, lshaped_solve, solve_subproblems,
 )
+from riskshed.util import THREADS_ENV_VAR
 
 from conftest import covering_problem, greedy_feasible_point
 
@@ -197,3 +199,19 @@ def test_history_monotone_master():
     masters = [row["master"] for row in res.history]
     assert all(b >= a - 1e-7 for a, b in zip(masters, masters[1:]))
     assert res.history[-1]["gap"] <= 1e-6 * max(1.0, abs(res.upper_estimate))
+
+
+def test_subproblems_take_the_worker_count_from_the_environment(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    problem = covering_problem(np.random.default_rng(220), num_scenarios=3)
+    backend = ScipyBackend()
+    on_main, solve_lp = [], backend.solve_lp
+
+    def spy(lp):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return solve_lp(lp)
+
+    monkeypatch.setattr(backend, "solve_lp", spy)
+    solve_subproblems(problem, 0.5, greedy_feasible_point(problem), -30.0,
+                      backend)
+    assert on_main and not any(on_main)

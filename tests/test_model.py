@@ -117,14 +117,10 @@ def test_evaluate_solution_breakdown():
     spec = RiskSpec("absolute-semideviation", rho=0.7)
     sol = evaluate_solution(problem, x, spec)
     assert np.allclose(sol.x, x)
-    assert abs(sol.first_stage_cost - problem.first_stage_cost @ x) < 1e-12
     # totals = cx + phi scenario by scenario
     phi = scenario_costs(problem, x)
-    assert np.allclose(sol.scenario_totals, sol.first_stage_cost + phi,
-                       atol=1e-9)
-    assert abs(sol.expectation
-               - problem.probabilities @ sol.scenario_totals) < 1e-9
-    assert abs(sol.objective - (sol.expectation + sol.risk_term)) < 1e-9
+    assert np.allclose(sol.scenario_totals,
+                       problem.first_stage_cost @ x + phi, atol=1e-9)
     direct = evaluate_objective(problem, x, spec)
     assert abs(sol.objective - direct) < 1e-9
 
