@@ -72,6 +72,8 @@ INPUT_KEYS = {
     "simulate": ("in", "plan"),
     "report": ("inputs",),
 }
+# Config keys every solve reads besides its method's flags.
+SOLVE_KEYS = ("in", "risk", "rho", "eta", "method", "backend", "threads", "out")
 # solve statuses -> exit code; any other status is a cap (EXIT_CAP).
 STATUS_EXIT = {"optimal": EXIT_OK, "converged": EXIT_OK,
                "infeasible": EXIT_INFEASIBLE, "unbounded": EXIT_INFEASIBLE}
@@ -499,10 +501,16 @@ def run_rerun(cfg):
         raise UsageError(f"cannot rerun subcommand '{sub}'")
     inner = dict(doc["config"])
     if sub == "solve":
+        method = METHODS.get(inner.get("method"))
+        if method is None:
+            raise UsageError(f"manifest names unknown method {inner.get('method')!r}")
         # older manifests record every method flag, read or not
         for name in METHOD_FLAGS:
-            if name not in METHODS[inner["method"]].flags:
+            if name not in method.flags:
                 inner[name] = None
+        missing = [k for k in (*SOLVE_KEYS, *method.flags) if k not in inner]
+        if missing:
+            raise UsageError(f"manifest config lacks {', '.join(missing)}")
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     for key in OUTPUT_KEYS[sub]:

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Scenario, TwoStageProblem
-from .mssop import MssopInstance, build_mssop_two_stage
+from .mssop import ARRAY_FIELDS, MssopInstance, build_mssop_two_stage
 
 FORMAT_VERSION = 1
 PROBLEM_FORMAT = "riskshed-problem"
 RESULT_FORMAT = "riskshed-result"
-PROBLEM_SUFFIX = ".sp2.json"
 RESULT_SUFFIX = ".result.json"
 HISTORY_SUFFIX = ".history.csv"
-SIM_SUFFIX = ".sim.csv"
 KINDS = ("generic-sp2", "knapsack", "mssop")
 # Columns of a simulation table (write_simulation_csv; read by cli report).
 SIMULATION_FIELDS = ["policy", "replication", "lost_sales_events",
@@ -137,21 +135,15 @@ def _problem_from_payload(payload):
         raise ParseError(f"problem payload missing field {exc}") from exc
 
 
-_MSSOP_FIELDS = ("setup_cost", "freight_cost", "breakpoint_weight",
-                 "unit_weight", "holding_cost", "lost_sales_penalty",
-                 "initial_inventory", "demand", "probabilities",
-                 "demand_mean", "demand_std")
-
-
 def _instance_payload(instance: MssopInstance):
-    out = {f: _tolist(getattr(instance, f)) for f in _MSSOP_FIELDS}
+    out = {f: _tolist(getattr(instance, f)) for f in ARRAY_FIELDS}
     out["name"] = instance.name
     return out
 
 
 def _instance_from_payload(payload):
     try:
-        kwargs = {f: np.array(payload[f], float) for f in _MSSOP_FIELDS}
+        kwargs = {f: np.array(payload[f], float) for f in ARRAY_FIELDS}
     except KeyError as exc:
         raise ParseError(f"instance payload missing field {exc}") from exc
     return MssopInstance(name=payload.get("name", ""), **kwargs)

@@ -313,14 +313,13 @@ def scenario_costs(problem, x, backend=None, threads=None):
     return np.array(vals, dtype=float)
 
 
-def risk_functional(total_costs, probabilities, spec, first_stage_cost=None,
-                    excess_on="total"):
+def risk_functional(total_costs, probabilities, spec, first_stage_cost=None):
     """Mean-risk value from per-scenario total costs f_w.
 
-    excess_on selects the excess argument for the excess measures:
-    "total" uses f_w - eta; "second_stage" uses (f_w - c'x) - eta and adds the
-    first-stage cost to the excess term (the two readings of the excess
-    extensive form).  first_stage_cost is required for "second_stage".
+    Expected excess reads eta against the recourse cost f_w - c'x and adds
+    the first-stage cost c'x to the excess term, as its extensive form
+    does, so it needs first_stage_cost; modified expected excess reads eta
+    against the total cost f_w.
     """
     f = np.asarray(total_costs, dtype=float)
     p = np.asarray(probabilities, dtype=float)
@@ -330,28 +329,22 @@ def risk_functional(total_costs, probabilities, spec, first_stage_cost=None,
         return fbar
     if m is RiskMeasure.ABSOLUTE_SEMIDEVIATION:
         return fbar + rho * float(p @ np.maximum(f - fbar, 0.0))
-    # excess measures
-    if excess_on == "total":
-        excess = float(p @ np.maximum(f - spec.eta, 0.0))
-    elif excess_on == "second_stage":
+    if m is RiskMeasure.EXPECTED_EXCESS:
         if first_stage_cost is None:
-            raise ValidationError("second_stage excess needs the first-stage cost")
+            raise ValidationError("expected excess needs the first-stage cost")
         phi = f - first_stage_cost
         excess = first_stage_cost + float(p @ np.maximum(phi - spec.eta, 0.0))
-    else:
-        raise ValidationError(f"unknown excess_on mode {excess_on!r}")
-    if m is RiskMeasure.EXPECTED_EXCESS:
         return fbar + rho * excess
     if m is RiskMeasure.MODIFIED_EXPECTED_EXCESS:
+        excess = float(p @ np.maximum(f - spec.eta, 0.0))
         return (1.0 - rho) * fbar + rho * excess
     raise ValueError(f"unknown measure {m}")
 
 
-def evaluate_objective(problem, x, spec, backend=None, excess_on="total",
-                       threads=None):
+def evaluate_objective(problem, x, spec, backend=None, threads=None):
     """Mean-risk objective value at a fixed feasible first-stage decision."""
     return evaluate_solution(problem, x, spec, backend=backend,
-                             excess_on=excess_on, threads=threads).objective
+                             threads=threads).objective
 
 
 @dataclass
@@ -363,7 +356,7 @@ class FirstStageSolution:
     scenario_totals: np.ndarray   # f_w = c'x + q'y*(w)
 
 
-def evaluate_solution(problem, x, spec, backend=None, excess_on="total",
+def evaluate_solution(problem, x, spec, backend=None,
                       threads=None) -> FirstStageSolution:
     """Like evaluate_objective but returns the full breakdown."""
     x = np.asarray(x, dtype=float)
@@ -372,6 +365,5 @@ def evaluate_solution(problem, x, spec, backend=None, excess_on="total",
     phi = scenario_costs(problem, x, backend=backend, threads=threads)
     cx = float(problem.first_stage_cost @ x)
     f = cx + phi
-    value = risk_functional(f, problem.probabilities, spec, first_stage_cost=cx,
-                            excess_on=excess_on)
+    value = risk_functional(f, problem.probabilities, spec, first_stage_cost=cx)
     return FirstStageSolution(x=x.copy(), objective=value, scenario_totals=f)

@@ -11,7 +11,7 @@ Canonical two-stage mapping: every row is >= (equalities are stored as a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,12 @@ from .model import Scenario, TwoStageProblem
 # Transportation schedule: duplicated weights encode the cost jumps.
 FREIGHT_COST = (0.0, 1000.0, 1000.0, 1500.0, 1500.0, 2200.0, 2200.0)
 BREAKPOINT_WEIGHT = (0.0, 0.0, 17500.0, 17500.0, 35000.0, 35000.0, 70000.0)
+# MssopInstance's array fields, in file payload order; those before
+# "probabilities" must be nonnegative.
+ARRAY_FIELDS = ("setup_cost", "freight_cost", "breakpoint_weight",
+                "unit_weight", "holding_cost", "lost_sales_penalty",
+                "initial_inventory", "demand", "probabilities",
+                "demand_mean", "demand_std")
 
 
 @dataclass
@@ -40,10 +46,7 @@ class MssopInstance:
     name: str = ""
 
     def __post_init__(self):
-        for f in ("setup_cost", "freight_cost", "breakpoint_weight",
-                  "unit_weight", "holding_cost", "lost_sales_penalty",
-                  "initial_inventory", "demand", "probabilities",
-                  "demand_mean", "demand_std"):
+        for f in ARRAY_FIELDS:
             setattr(self, f, np.asarray(getattr(self, f), dtype=float))
         if self.demand.ndim != 3:
             raise ValueError("demand must be scenario x item x period")
@@ -51,9 +54,7 @@ class MssopInstance:
             raise ValueError("breakpoint weights must be nondecreasing")
         if np.any(np.diff(self.freight_cost) < 0):
             raise ValueError("freight costs must be nondecreasing")
-        for f in ("setup_cost", "freight_cost", "breakpoint_weight",
-                  "unit_weight", "holding_cost", "lost_sales_penalty",
-                  "initial_inventory", "demand"):
+        for f in ARRAY_FIELDS[:ARRAY_FIELDS.index("probabilities")]:
             if np.any(getattr(self, f) < 0):
                 raise ValueError(f"{f} must be nonnegative")
         if abs(self.probabilities.sum() - 1.0) > 1e-9:
@@ -281,7 +282,6 @@ class SimulationReport:
     lost_sales_quantity: np.ndarray   # per replication
     recourse_cost: np.ndarray         # per replication
     replenishment_cost: float
-    extras: dict = field(default_factory=dict)
 
     @property
     def mean_events(self):

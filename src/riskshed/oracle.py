@@ -87,6 +87,11 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
     ties resolve to the lexicographically smallest x.  Recourse values come
     from ``model.scenario_costs``, which enumerates all-binary recourse
     and solves anything else on ``backend``.
+
+    excess_on picks how the excess measures read eta: "second_stage"
+    against f_w - c'x with c'x added to the excess term, "total" against
+    f_w.  ``model`` reads expected excess the "second_stage" way and
+    modified expected excess the "total" way.
     """
     if problem.n1 > MAX_N1 or problem.n2 > MAX_N2:
         raise ScaleRefused(f"n1={problem.n1}, n2={problem.n2} "

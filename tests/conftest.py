@@ -4,8 +4,11 @@ The covering family below is the workhorse: all data negative, so y = 0 is
 feasible in every scenario (complete recourse by construction) and x = 0 is
 feasible in the first stage.  Problems stay small enough for the
 brute-force oracles.  ``NoSolver`` is the backend for code that must not
-solve anything: every call fails the test.
+solve anything: every call fails the test.  ``pin_first_stage`` and
+``relax_second_stage`` derive variants of an assembled extensive form.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,24 @@ def greedy_feasible_point(problem):
         if not problem.first_stage_feasible(x):
             x[j] = 0.0
     return x
+
+
+def pin_first_stage(artifact, x):
+    """Copy of the extensive form with the first stage fixed to x via bounds."""
+    lp, n1 = artifact.program.lp, artifact.n1
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    lower[:n1] = upper[:n1] = np.asarray(x, dtype=float)
+    program = dataclasses.replace(
+        artifact.program, lp=dataclasses.replace(lp, lower=lower, upper=upper))
+    return dataclasses.replace(artifact, program=program)
+
+
+def relax_second_stage(artifact):
+    """Copy with integrality dropped after the first stage; x stays binary."""
+    binary = artifact.program.binary.copy()
+    binary[artifact.n1:] = False
+    program = dataclasses.replace(artifact.program, binary=binary)
+    return dataclasses.replace(artifact, program=program)
 
 
 @pytest.fixture

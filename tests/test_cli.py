@@ -509,6 +509,29 @@ def test_rerun_rejects_a_removed_backend(knap_file, tmp_path, capsys):
     assert "error: unknown backend 'auto'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda config: config.update(method="benders"),
+    lambda config: config.pop("node_cap"),
+    lambda config: config.pop("risk"),
+], ids=["unknown-method", "no-node-cap", "no-risk"])
+def test_rerun_rejects_a_broken_solve_config(knap_file, tmp_path, capsys, edit):
+    out = str(tmp_path / "a" / "n.result.json")
+    os.makedirs(tmp_path / "a")
+    assert run("solve", "--in", knap_file, "--risk", "neutral",
+               "--out", out) == 0
+    manifest = out + cli.MANIFEST_SUFFIX
+    doc = json.load(open(manifest))
+    edit(doc["config"])
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    replay_dir = tmp_path / "b"
+    assert run("rerun", "--manifest", manifest,
+               "--out-dir", str(replay_dir)) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not replay_dir.exists()
+
+
 @pytest.mark.parametrize("method", ["dep", "rm-asd"])
 def test_two_threads_replay_one_thread(knap_file, tmp_path, method):
     results = []

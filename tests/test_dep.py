@@ -10,14 +10,32 @@ import pytest
 
 from riskshed.backend import ScipyBackend
 from riskshed.dep import (
-    BUILDERS, build_dep_absolute_semideviation, build_dep_expectation,
+    build_dep_absolute_semideviation, build_dep_expectation,
     build_dep_expected_excess, build_dep_modified_expected_excess,
-    pin_first_stage, relax_second_stage,
 )
+from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
 from riskshed.model import RiskMeasure, RiskSpec, evaluate_objective
 from riskshed.mssop import build_mssop_two_stage, generate_mssop_instance
 
-from conftest import covering_problem, greedy_feasible_point
+from conftest import (covering_problem, greedy_feasible_point, pin_first_stage,
+                      relax_second_stage)
+
+BUILDERS = {
+    "expectation": build_dep_expectation,
+    "expected-excess": build_dep_expected_excess,
+    "modified-expected-excess": build_dep_modified_expected_excess,
+    "absolute-semideviation": build_dep_absolute_semideviation,
+}
+
+
+def _y(problem, k):
+    """Columns of scenario k's recourse vector: after x and k earlier y blocks."""
+    return slice(problem.n1 + k * problem.n2, problem.n1 + (k + 1) * problem.n2)
+
+
+def _v(problem, k):
+    """Column of scenario k's risk variable, after every y block."""
+    return problem.n1 + problem.num_scenarios * problem.n2 + k
 
 
 def _spec_for(name, rho, eta):
@@ -50,8 +68,7 @@ def test_pinned_x_matches_evaluator(name):
         sol = backend.solve_mip(pinned.program)
         assert sol.status == "optimal"
         spec = _spec_for(name, rho, eta)
-        excess_on = "second_stage" if name == "expected-excess" else "total"
-        want = evaluate_objective(problem, x, spec, excess_on=excess_on)
+        want = evaluate_objective(problem, x, spec)
         assert abs(sol.objective - want) < 1e-7 * max(1.0, abs(want)), (
             name, trial, sol.objective, want)
 
@@ -77,7 +94,7 @@ def test_expectation_layout():
     assert nc == problem.m1 + 2 * problem.m2
     # probability-weighted scenario costs sit on the y blocks
     for k, s in enumerate(problem.scenarios):
-        sl = art.var_index[("y", k)]
+        sl = _y(problem, k)
         assert np.allclose(art.program.lp.objective[sl],
                            s.probability * s.cost)
 
@@ -93,9 +110,9 @@ def test_excess_builders_add_one_row_and_var_per_scenario():
         assert art.stats[1] == base.stats[1] + 4      # one link per scenario
         # v is nonnegative, not binary
         for k in range(4):
-            sl = art.var_index[("v", k)]
-            assert not art.program.binary[sl].any()
-            assert np.all(art.program.lp.lower[sl] == 0.0)
+            v = _v(problem, k)
+            assert not art.program.binary[v]
+            assert art.program.lp.lower[v] == 0.0
 
 
 def test_asd_builder_two_rows_free_v():
@@ -106,8 +123,7 @@ def test_asd_builder_two_rows_free_v():
     assert art.stats[0] == base.stats[0] + 3
     assert art.stats[1] == base.stats[1] + 2 * 3      # own + mean row each
     for k in range(3):
-        sl = art.var_index[("v", k)]
-        assert np.all(np.isneginf(art.program.lp.lower[sl]))
+        assert np.isneginf(art.program.lp.lower[_v(problem, k)])
 
 
 def test_asd_linking_rows_leave_first_stage_out():
@@ -116,7 +132,7 @@ def test_asd_linking_rows_leave_first_stage_out():
     for collapse in (False, True):
         art = build_dep_absolute_semideviation(problem, 0.7,
                                                collapse_mean_row=collapse)
-        lhs, xsl = art.program.lp.lhs, art.var_index["x"]
+        lhs, xsl = art.program.lp.lhs, slice(0, problem.n1)
         # the linking rows follow the first-stage and recourse blocks
         rows = lhs[problem.m1 + 3 * problem.m2:]
         assert rows.shape[0] == 2 * 3 + collapse
@@ -165,11 +181,24 @@ def test_relax_second_stage_only_unflags_y():
     problem = covering_problem(rng, num_scenarios=2)
     art = build_dep_modified_expected_excess(problem, 0.4, -10.0)
     relaxed = relax_second_stage(art)
-    xsl = art.var_index["x"]
-    assert relaxed.program.binary[xsl].all()
+    assert relaxed.program.binary[:problem.n1].all()
     for k in range(2):
-        assert not relaxed.program.binary[art.var_index[("y", k)]].any()
+        assert not relaxed.program.binary[_y(problem, k)].any()
     be = ScipyBackend()
     lo = be.solve_mip(relaxed.program)
     hi = be.solve_mip(art.program)
     assert lo.objective <= hi.objective + 1e-9
+
+
+def test_expected_excess_optimum_is_its_evaluated_plan():
+    # K.5.6.3 seed 2 at rho 0.5 and eta the neutral optimum Q_E: the excess
+    # form's optimum is the expected-excess value of its own plan
+    problem = generate_knapsack(KnapsackGenSpec(5, 6, 3, seed=2, m1=3, m2=4))
+    backend = ScipyBackend()
+    eta = backend.solve_mip(build_dep_expectation(problem).program).objective
+    art = build_dep_expected_excess(problem, 0.5, eta)
+    sol = backend.solve_mip(art.program)
+    assert sol.status == "optimal"
+    want = evaluate_objective(problem, np.rint(art.first_stage_values(sol.x)),
+                              RiskSpec("expected-excess", rho=0.5, eta=eta))
+    assert sol.objective == pytest.approx(want, rel=1e-7)

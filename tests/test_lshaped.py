@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from riskshed.backend import ScipyBackend
-from riskshed.dep import build_dep_modified_expected_excess, relax_second_stage
+from riskshed.dep import build_dep_modified_expected_excess
 from riskshed.lshaped import (
     THETA_FLOOR, CutPool, OptimalityCut, build_master, build_subproblem_lp,
     cuts_from_duals, lshaped_solve, solve_subproblems,
 )
 from riskshed.util import THREADS_ENV_VAR
 
-from conftest import covering_problem, greedy_feasible_point
+from conftest import covering_problem, greedy_feasible_point, relax_second_stage
 
 
 def relaxed_dep_optimum(problem, rho, eta):

@@ -38,7 +38,8 @@ def test_risk_functional_hand_values():
     assert abs(exp - fbar) < 1e-12
 
     # EE(eta=15): excess = .3*5 + .2*25 = 6.5 -> 19 + .4*6.5 = 21.6
-    ee = risk_functional(f, p, RiskSpec("expected-excess", rho=0.4, eta=15.0))
+    ee = risk_functional(f, p, RiskSpec("expected-excess", rho=0.4, eta=15.0),
+                         first_stage_cost=0.0)
     assert abs(ee - (fbar + 0.4 * 6.5)) < 1e-12
 
     # ModEE: .6*19 + .4*6.5 = 14.0
@@ -59,12 +60,11 @@ def test_risk_functional_second_stage_excess():
     cx = 4.0
     phi = f - cx
     spec = RiskSpec("expected-excess", rho=0.5, eta=10.0)
-    val = risk_functional(f, p, spec, first_stage_cost=cx,
-                          excess_on="second_stage")
+    val = risk_functional(f, p, spec, first_stage_cost=cx)
     excess = 0.5 * max(phi[0] - 10.0, 0.0) + 0.5 * max(phi[1] - 10.0, 0.0)
     assert abs(val - (np.mean(f) + 0.5 * (cx + excess))) < 1e-12
     with pytest.raises(ValidationError):
-        risk_functional(f, p, spec, excess_on="second_stage")
+        risk_functional(f, p, spec)
 
 
 def test_rho_zero_recovers_expectation():
@@ -73,7 +73,8 @@ def test_rho_zero_recovers_expectation():
     p = rng.dirichlet(np.ones(9))
     base = risk_functional(f, p, RiskSpec(RiskMeasure.EXPECTATION))
     asd = risk_functional(f, p, RiskSpec("absolute-semideviation", rho=0.0))
-    ee = risk_functional(f, p, RiskSpec("expected-excess", rho=0.0, eta=0.0))
+    ee = risk_functional(f, p, RiskSpec("expected-excess", rho=0.0, eta=0.0),
+                         first_stage_cost=0.0)
     assert abs(asd - base) < 1e-12
     assert abs(ee - base) < 1e-12
 

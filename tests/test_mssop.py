@@ -119,8 +119,9 @@ def test_dep_solution_obeys_mass_balance():
     xf = art.first_stage_values(sol.x)
     orders = model.decode_plan(xf).orders
     I, T = 2, 2
+    ys = sol.x[art.n1:].reshape(2, -1)    # the y blocks follow x
     for s in range(2):
-        y = sol.x[art.var_index[("y", s)]]
+        y = ys[s]
         v = y[:I * T].reshape(I, T)
         u = y[I * T:2 * I * T].reshape(I, T)
         for i in range(I):
