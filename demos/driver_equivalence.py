@@ -46,9 +46,12 @@ the exit status is 1 when any instance is listed.
 ``cli-dump`` runs ``CLI_SCRIPT`` through ``riskshed.cli.main`` in a fresh
 temporary directory, with relative paths so that manifests from two trees
 name the same files.  The script runs every subcommand and every
-``--method``, hits the node and iteration caps and one usage error, and
-replays four manifests.  It writes each step's exit code and printed
-output, the SHA-256 of every file the steps leave behind, and each
+``--method``, hits the node and iteration caps and one usage error,
+replays four manifests, and ends with two faults on problem files that
+``cli-dump`` writes first (``FAULT_FILES``): an lshaped run whose plan has
+no binary recourse, and scenario probabilities that sum to 0.5.  It
+writes each step's exit code (``raised <Type>`` for a step that raises)
+and printed output, the SHA-256 of every file the steps leave behind, and each
 manifest's ``config``, ``inputs``, ``outputs``, ``checksums`` and
 ``exit_status`` (not its wall time).  ``cli-compare`` lists every step and
 file that differs; the exit status is 1 when anything is listed.
@@ -267,8 +270,28 @@ CLI_SCRIPT = [
     ["rerun", "--manifest", "k-asd.result.json.manifest.json", "--out-dir", "replay"],
     ["rerun", "--manifest", "k-rm.result.json.manifest.json", "--out-dir", "replay"],
     ["rerun", "--manifest", "summary.csv.manifest.json", "--out-dir", "replay"],
+    ["solve", "--in", "no-recourse.sp2.json", "--risk", "mod-ee", "--rho", "0.5",
+     "--eta", "0", "--method", "lshaped", "--out", "no-recourse.result.json"],
+    ["solve", "--in", "half.sp2.json", "--risk", "neutral", "--out",
+     "half.result.json"],
 ]
+# name -> scenario probability of the two-scenario model x + 2y = 1
+# (x, y binary): x = 0 has no binary recourse, though its relaxation does.
+FAULT_FILES = {"no-recourse.sp2.json": 0.5, "half.sp2.json": 0.25}
 MANIFEST_FIELDS = ("config", "inputs", "outputs", "checksums", "exit_status")
+
+
+def _write_fault_files():
+    from riskshed import fileio
+    from riskshed.model import Scenario, TwoStageProblem
+
+    for name, p in FAULT_FILES.items():
+        scenarios = [Scenario(probability=p, cost=[q], technology=[[1.0], [-1.0]],
+                              recourse=[[2.0], [-2.0]], rhs=[1.0, -1.0])
+                     for q in (-1.0, -3.0)]
+        fileio.save_problem(name, problem=TwoStageProblem(
+            first_stage_cost=[5.0], first_stage_matrix=[[0.0]],
+            first_stage_rhs=[-1.0], scenarios=scenarios))
 
 
 def cli_dump(path):
@@ -281,10 +304,14 @@ def cli_dump(path):
         home = os.getcwd()
         os.chdir(work)
         try:
+            _write_fault_files()
             for argv in CLI_SCRIPT:
                 printed = io.StringIO()
                 with contextlib.redirect_stdout(printed):
-                    code = cli.main(argv)
+                    try:
+                        code = cli.main(argv)
+                    except Exception as exc:
+                        code = f"raised {type(exc).__name__}"
                 steps.append({"argv": argv, "exit": code, "stdout": printed.getvalue()})
             for root, _, names in os.walk("."):
                 for name in names:

@@ -16,7 +16,7 @@ from .dep import (
     build_dep_expected_excess, build_dep_modified_expected_excess,
 )
 from .fileio import load_problem, load_result, save_problem, save_result
-from .knapsack import KnapsackGenSpec, generate_knapsack, verify_complete_recourse
+from .knapsack import KnapsackGenSpec, generate_knapsack
 from .lshaped import lshaped_solve
 from .model import (
     RiskMeasure, RiskSpec, Scenario, TwoStageProblem, evaluate_objective,
@@ -35,7 +35,7 @@ __all__ = [
     "DepArtifact", "build_dep_expectation", "build_dep_expected_excess",
     "build_dep_modified_expected_excess", "build_dep_absolute_semideviation",
     "load_problem", "load_result", "save_problem", "save_result",
-    "KnapsackGenSpec", "generate_knapsack", "verify_complete_recourse",
+    "KnapsackGenSpec", "generate_knapsack",
     "lshaped_solve",
     "RiskMeasure", "RiskSpec", "Scenario", "TwoStageProblem",
     "evaluate_objective", "evaluate_solution", "risk_functional",

@@ -34,18 +34,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import util
-from .backend import MemoBackend, get_backend
+from .backend import MemoBackend, get_backend, optimal
 from .dep import build_dep_expectation
 from .lshaped import (CutPool, OptimalityCut, build_master, cuts_from_duals,
                       lshaped_solve, solve_subproblems, THETA_FLOOR,
                       THETA_FLOOR_MARGIN)
-from .model import (RiskMeasure, RiskSpec, TwoStageProblem, evaluate_solution,
-                    require_valid)
-
-
-class CutGenerationError(RuntimeError):
-    """A scenario subproblem failed while assembling a cut."""
-
+from .model import (RiskMeasure, RiskSpec, TwoStageProblem, ValidationError,
+                    evaluate_solution, require_valid)
 
 MEMBERSHIP_TOL = 1e-9
 STALL_LIMIT = 3                         # equal-mass ties before halving xi
@@ -64,11 +59,11 @@ class AsdBoundsConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
+            raise ValidationError("rho must lie in [0, 1]")
         for name in ("epsilon", "xi"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+                raise ValidationError(f"{name} must be finite and positive")
 
 
 @dataclass
@@ -113,10 +108,7 @@ def excess_mean_cut(problem, rho, x, eta, backend=None, threads=None):
     objective is built from.
     """
     backend = get_backend(backend)
-    try:
-        subs = solve_subproblems(problem, rho, x, eta, backend, threads)
-    except RuntimeError as exc:
-        raise CutGenerationError(str(exc)) from exc
+    subs = solve_subproblems(problem, rho, x, eta, backend, threads)
     p = problem.probabilities
     values = np.array([s[0] for s in subs])
     q_bar = float(p @ values)
@@ -149,9 +141,8 @@ def initialize(problem: TwoStageProblem, config: AsdBoundsConfig) -> AsdBoundsSt
     """Risk-neutral solve, target seeding, and first bound pair."""
     require_valid(problem)
     backend = get_backend(config.backend)
-    neutral = backend.solve_mip(build_dep_expectation(problem).program)
-    if neutral.status != "optimal":
-        raise RuntimeError(f"risk-neutral extensive form came back {neutral.status}")
+    neutral = optimal(backend.solve_mip(build_dep_expectation(problem).program),
+                      "risk-neutral extensive form")
     x_hat = neutral.x[:problem.n1]
     q_exp = neutral.objective
     eta = q_exp
@@ -236,9 +227,7 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
         cuts_added = int(state.pool.add(cut))
 
         program, _ = build_master(problem, config.rho, state.pool, state.eta)
-        msol = backend.solve_mip(program)
-        if msol.status != "optimal":
-            raise RuntimeError(f"bounding master came back {msol.status}")
+        msol = optimal(backend.solve_mip(program), "bounding master")
         theta_val = float(msol.x[problem.n1])
         event = ""
         if theta_val <= THETA_FLOOR + THETA_FLOOR_MARGIN:

@@ -13,13 +13,13 @@ from .memo import MemoBackend
 from .program import (
     DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, Backend,
     LinearProgram, LpSolution, MipSolution, MixedBinaryProgram,
-    NumericalFailure, SolveStats,
+    NumericalFailure, SolveFailed, SolveStats, optimal,
 )
 
 __all__ = [
     "Backend", "LinearProgram", "LpSolution", "MixedBinaryProgram",
-    "MipSolution", "NumericalFailure", "SolveStats", "ScipyBackend",
-    "MemoBackend", "get_backend",
+    "MipSolution", "NumericalFailure", "SolveFailed", "SolveStats",
+    "ScipyBackend", "MemoBackend", "get_backend", "optimal",
     "OPTIMAL", "INFEASIBLE", "UNBOUNDED", "NODE_CAP",
 ]
 

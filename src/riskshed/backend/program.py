@@ -19,6 +19,21 @@ class NumericalFailure(RuntimeError):
     """The solver could not certify its answer within tolerances."""
 
 
+class SolveFailed(RuntimeError):
+    """A solve the caller relies on came back with ``status``, not optimal."""
+
+    def __init__(self, message, status):
+        super().__init__(message)
+        self.status = status
+
+
+def optimal(sol, what):
+    """sol when it is optimal; otherwise raise SolveFailed naming what."""
+    if sol.status != OPTIMAL:
+        raise SolveFailed(f"{what} came back {sol.status}", sol.status)
+    return sol
+
+
 @dataclass
 class LinearProgram:
     """min objective'x  s.t.  lhs x {<=,=,>=} rhs,  lower <= x <= upper.

@@ -10,9 +10,12 @@ a replay are byte-identical to the originals.
 reads and their defaults; a method flag the chosen method does not read is
 a usage error, and the manifest records it as null.
 
-Exit codes: 0 success, 2 usage or configuration error (no manifest is
-written), 3 infeasible or unbounded model, 4 iteration/node cap reached
-(partial result still written).
+Exit codes: 0 success; 2 usage or configuration error, or problem or
+generator data that breaks the model contract (no manifest is written);
+3 a solve the method relies on came back infeasible or unbounded; 4 an
+iteration or node cap was reached (partial result still written).  A
+solve fault is a ``SolveFailed`` whose status picks the code through
+``STATUS_EXIT``.
 """
 from __future__ import annotations
 
@@ -33,13 +36,13 @@ import numpy as np
 
 from . import fileio, util
 from .asd_bounds import AsdBoundsConfig, rm_asd_solve
-from .backend import get_backend
+from .backend import SolveFailed, get_backend
 from .dep import (build_dep_absolute_semideviation, build_dep_expectation,
                   build_dep_expected_excess, build_dep_modified_expected_excess)
 from .knapsack import (RNG_IDENTITY, KnapsackGenSpec, audit_dimensions,
                        generate_knapsack)
 from .lshaped import lshaped_solve
-from .model import RiskMeasure, RiskSpec, evaluate_objective
+from .model import RiskMeasure, RiskSpec, ValidationError, evaluate_objective
 from .mssop import build_mssop_two_stage, generate_mssop_instance, simulate_policy
 
 EXIT_OK = 0
@@ -72,8 +75,6 @@ INPUT_KEYS = {
     "simulate": ("in", "plan"),
     "report": ("inputs",),
 }
-# Config keys every solve reads besides its method's flags.
-SOLVE_KEYS = ("in", "risk", "rho", "eta", "method", "backend", "threads", "out")
 # solve statuses -> exit code; any other status is a cap (EXIT_CAP).
 STATUS_EXIT = {"optimal": EXIT_OK, "converged": EXIT_OK,
                "infeasible": EXIT_INFEASIBLE, "unbounded": EXIT_INFEASIBLE}
@@ -161,12 +162,9 @@ def load_manifest(path) -> dict:
 
 def run_gen(cfg):
     if cfg["kind"] == "knapsack":
-        try:
-            spec = KnapsackGenSpec(n1=cfg["n1"], n2=cfg["n2"],
-                                   num_scenarios=cfg["scens"],
-                                   seed=cfg["seed"], m1=cfg["m1"], m2=cfg["m2"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        spec = KnapsackGenSpec(n1=cfg["n1"], n2=cfg["n2"],
+                               num_scenarios=cfg["scens"],
+                               seed=cfg["seed"], m1=cfg["m1"], m2=cfg["m2"])
         problem = generate_knapsack(spec)
         generator = {"family": "knapsack", "n1": spec.n1, "n2": spec.n2,
                      "num_scenarios": spec.num_scenarios, "m1": spec.m1,
@@ -176,12 +174,9 @@ def run_gen(cfg):
                             rng={"identity": RNG_IDENTITY, "seed": spec.seed})
         audited = problem
     else:
-        try:
-            instance = generate_mssop_instance(
-                cfg["items"], cfg["periods"], cfg["scens"],
-                lumpy_fraction=cfg["lumpy"], seed=cfg["seed"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        instance = generate_mssop_instance(
+            cfg["items"], cfg["periods"], cfg["scens"],
+            lumpy_fraction=cfg["lumpy"], seed=cfg["seed"])
         generator = {"family": "mssop", "num_items": cfg["items"],
                      "num_periods": cfg["periods"],
                      "num_scenarios": cfg["scens"],
@@ -275,13 +270,9 @@ def _solve_lshaped(cfg, problem, backend):
 
 
 def _solve_rm_asd(cfg, problem, backend):
-    try:
-        config = AsdBoundsConfig(
-            rho=cfg["rho"], epsilon=cfg["epsilon"], xi=cfg["xi"],
-            max_iters=cfg["max_iters"], backend=backend,
-            threads=cfg["threads"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = AsdBoundsConfig(
+        rho=cfg["rho"], epsilon=cfg["epsilon"], xi=cfg["xi"],
+        max_iters=cfg["max_iters"], backend=backend, threads=cfg["threads"])
     state = rm_asd_solve(problem, config)
     fields = dict(
         status=state.status, lower=state.lower, upper=state.upper,
@@ -328,11 +319,9 @@ def run_solve(cfg):
     cfg["history"] = _history_path(cfg["out"])
     try:
         fields, history = method.runner(cfg, pf.problem, backend)
-    except RuntimeError as exc:
-        if "infeasible" not in str(exc).lower():
-            raise
+    except SolveFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
-        fields, history = dict(status="infeasible"), []
+        fields, history = dict(status=exc.status), []
 
     lower, upper = fields.get("lower"), fields.get("upper")
     gap = None
@@ -494,23 +483,37 @@ def _render_plots(table, out_dir):
 # rerun
 
 
+def _check_config(parser, cfg):
+    """Raise UsageError unless cfg has a key for every argument of parser,
+    each within the argument's choices; the chosen subcommand's parser is
+    checked in turn."""
+    missing = []
+    for action in parser._actions:
+        key = action.dest
+        if key == "help":
+            continue
+        if key not in cfg:
+            missing.append(key)
+        elif action.choices is not None:
+            if cfg[key] not in action.choices:
+                raise UsageError(f"unknown {key} {cfg[key]!r}")
+            if isinstance(action, argparse._SubParsersAction):
+                _check_config(action.choices[cfg[key]], cfg)
+    if missing:
+        raise UsageError(f"manifest config lacks {', '.join(missing)}")
+
+
 def run_rerun(cfg):
     doc = load_manifest(cfg["manifest"])
     sub = doc["subcommand"]
     if sub not in OUTPUT_KEYS:
         raise UsageError(f"cannot rerun subcommand '{sub}'")
     inner = dict(doc["config"])
-    if sub == "solve":
-        method = METHODS.get(inner.get("method"))
-        if method is None:
-            raise UsageError(f"manifest names unknown method {inner.get('method')!r}")
+    if sub == "solve" and inner.get("method") in METHODS:
         # older manifests record every method flag, read or not
-        for name in METHOD_FLAGS:
-            if name not in method.flags:
-                inner[name] = None
-        missing = [k for k in (*SOLVE_KEYS, *method.flags) if k not in inner]
-        if missing:
-            raise UsageError(f"manifest config lacks {', '.join(missing)}")
+        flags = METHODS[inner["method"]].flags
+        inner.update((name, None) for name in METHOD_FLAGS if name not in flags)
+    _check_config(build_parser(), dict(inner, subcommand=sub))
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     for key in OUTPUT_KEYS[sub]:
@@ -538,7 +541,8 @@ def execute(subcommand, cfg):
     start = time.perf_counter()
     try:
         code = runner(cfg)
-    except (UsageError, fileio.ParseError, FileNotFoundError) as exc:
+    except (UsageError, ValidationError, fileio.ParseError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     wall = time.perf_counter() - start

@@ -114,18 +114,24 @@ def _problem_payload(problem: TwoStageProblem):
     }
 
 
+def _matrix(rows, ncols):
+    """rows as a float matrix; JSON writes one with no rows as []."""
+    return np.array(rows, float) if rows else np.zeros((0, ncols))
+
+
 def _problem_from_payload(payload):
     try:
+        n1 = len(payload["first_stage_cost"])
         scenarios = [Scenario(
             probability=s["probability"], cost=np.array(s["cost"], float),
-            technology=np.array(s["technology"], float),
-            recourse=np.array(s["recourse"], float),
+            technology=_matrix(s["technology"], n1),
+            recourse=_matrix(s["recourse"], len(s["cost"])),
             rhs=np.array(s["rhs"], float),
             integrality=np.array(s["integrality"], bool),
         ) for s in payload["scenarios"]]
         return TwoStageProblem(
             first_stage_cost=np.array(payload["first_stage_cost"], float),
-            first_stage_matrix=np.array(payload["first_stage_matrix"], float),
+            first_stage_matrix=_matrix(payload["first_stage_matrix"], n1),
             first_stage_rhs=np.array(payload["first_stage_rhs"], float),
             scenarios=scenarios,
             first_stage_integrality=np.array(payload["first_stage_integrality"],

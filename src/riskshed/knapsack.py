@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import LinearProgram, MixedBinaryProgram, get_backend
-from .model import Scenario, TwoStageProblem
+from .model import Scenario, TwoStageProblem, ValidationError
 
 RNG_IDENTITY = "numpy-philox"
 
@@ -38,7 +37,7 @@ class KnapsackGenSpec:
     def __post_init__(self):
         for field in ("n1", "n2", "num_scenarios", "m1", "m2"):
             if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
+                raise ValidationError(f"{field} must be positive")
 
     @property
     def name(self):
@@ -93,28 +92,3 @@ def audit_dimensions(problem: TwoStageProblem):
         nnz += int(np.count_nonzero(s.recourse))
     return nvars, ncons, nnz
 
-
-def verify_complete_recourse(problem: TwoStageProblem, backend=None):
-    """Certify that y = 0 stays feasible for every feasible first stage.
-
-    Solves max sum x over the first-stage region exactly and compares the
-    load against the smallest scenario capacity.  Returns (ok, margin);
-    margin is min capacity minus worst-case load, positive when certified.
-    Sufficient, not necessary: a negative margin only means the cheap
-    certificate failed.
-    """
-    backend = get_backend(backend)
-    n1, m1 = problem.n1, problem.m1
-    lp = LinearProgram(
-        objective=-np.ones(n1),             # maximize cardinality
-        lhs=problem.first_stage_matrix, senses=[">="] * m1,
-        rhs=problem.first_stage_rhs,
-        lower=np.zeros(n1), upper=np.ones(n1))
-    sol = backend.solve_mip(MixedBinaryProgram(
-        lp=lp, binary=problem.first_stage_integrality.copy()))
-    if sol.status != "optimal":
-        raise RuntimeError(f"first-stage load check came back {sol.status}")
-    max_load = -sol.objective
-    min_capacity = min(float((-s.rhs).min()) for s in problem.scenarios)
-    margin = min_capacity - max_load
-    return margin >= 0.0, margin

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import Backend, LinearProgram, MixedBinaryProgram, get_backend
+from .backend import (Backend, LinearProgram, MixedBinaryProgram, get_backend,
+                      optimal)
 from .model import TwoStageProblem, require_valid
 from .util import map_ordered
 
@@ -127,11 +128,7 @@ def solve_subproblems(problem, rho, x, eta, backend: Backend, threads=None):
 
     def one(index):
         lp, meta = build_subproblem_lp(problem, rho, index, x, eta)
-        sol = backend.solve_lp(lp)
-        if sol.status != "optimal":
-            raise RuntimeError(
-                f"scenario {index} subproblem is {sol.status}; the model "
-                "violates the bounded-feasible recourse assumption")
+        sol = optimal(backend.solve_lp(lp), f"scenario {index} subproblem")
         return sol.objective, sol.duals, meta
 
     return map_ordered(one, range(problem.num_scenarios), threads=threads)
@@ -228,9 +225,7 @@ def lshaped_solve(problem: TwoStageProblem, rho: float, eta: float,
     it = 0
     for it in range(1, max_iters + 1):
         program, nt = build_master(problem, rho, pool, eta, multicut)
-        msol = backend.solve_mip(program)
-        if msol.status != "optimal":
-            raise RuntimeError(f"master problem came back {msol.status}")
+        msol = optimal(backend.solve_mip(program), "master problem")
         x = msol.x[:problem.n1]
         theta_val = float(np.sum(msol.x[problem.n1:]))
         master_obj = msol.objective

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backend import (INFEASIBLE, UNBOUNDED, LinearProgram, MixedBinaryProgram,
+                      SolveFailed, get_backend, optimal)
 from .util import map_ordered
 
 # Probability sums farther than this from 1 are rejected; closer mismatches
@@ -33,12 +35,18 @@ MAX_ENUMERATED_N2 = 12
 ENUMERATION_TOL = 1e-9
 
 
-class InfeasibleSecondStage(RuntimeError):
+class InfeasibleSecondStage(SolveFailed):
     """No feasible recourse exists for the queried (x, scenario) pair."""
 
+    def __init__(self, message):
+        super().__init__(message, INFEASIBLE)
 
-class UnboundedSecondStage(RuntimeError):
+
+class UnboundedSecondStage(SolveFailed):
     """The recourse program is unbounded below, which indicates bad model data."""
+
+    def __init__(self, message):
+        super().__init__(message, UNBOUNDED)
 
 
 class ValidationError(ValueError):
@@ -239,8 +247,6 @@ def second_stage_program(problem, x, index):
 
     Returns a backend MixedBinaryProgram.
     """
-    from .backend import LinearProgram, MixedBinaryProgram
-
     s = problem.scenarios[index]
     x = np.asarray(x, dtype=float)
     rhs = s.rhs - s.technology @ x
@@ -282,8 +288,6 @@ def evaluate_scenario_cost(problem, x, index, backend=None):
     Raises InfeasibleSecondStage / UnboundedSecondStage on pathological
     scenarios; both indicate the model violates the recourse assumptions.
     """
-    from .backend import get_backend
-
     s = problem.scenarios[index]
     if s.n2 <= MAX_ENUMERATED_N2 and s.integrality.all():
         ys = _binary_points(s.n2)
@@ -296,13 +300,11 @@ def evaluate_scenario_cost(problem, x, index, backend=None):
     backend = get_backend(backend)
     prog = second_stage_program(problem, x, index)
     sol = backend.solve_mip(prog)
-    if sol.status == "infeasible":
+    if sol.status == INFEASIBLE:
         raise _no_recourse(index, x)
-    if sol.status == "unbounded":
+    if sol.status == UNBOUNDED:
         raise UnboundedSecondStage(f"scenario {index} recourse is unbounded below")
-    if sol.status != "optimal":
-        raise RuntimeError(f"scenario {index} solve ended with status {sol.status}")
-    return float(sol.objective)
+    return float(optimal(sol, f"scenario {index} recourse solve").objective)
 
 
 def scenario_costs(problem, x, backend=None, threads=None):

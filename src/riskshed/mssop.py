@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import get_backend
+from .backend import get_backend, optimal
 from .dep import build_dep_absolute_semideviation, build_dep_expectation
-from .model import Scenario, TwoStageProblem
+from .model import Scenario, TwoStageProblem, ValidationError
 
 # Transportation schedule: duplicated weights encode the cost jumps.
 FREIGHT_COST = (0.0, 1000.0, 1000.0, 1500.0, 1500.0, 2200.0, 2200.0)
 BREAKPOINT_WEIGHT = (0.0, 0.0, 17500.0, 17500.0, 35000.0, 35000.0, 70000.0)
+PENALTY_RANGE = (150.0, 300.0)  # generated lost-sales penalty per unit
 # MssopInstance's array fields, in file payload order; those before
 # "probabilities" must be nonnegative.
 ARRAY_FIELDS = ("setup_cost", "freight_cost", "breakpoint_weight",
@@ -49,16 +50,16 @@ class MssopInstance:
         for f in ARRAY_FIELDS:
             setattr(self, f, np.asarray(getattr(self, f), dtype=float))
         if self.demand.ndim != 3:
-            raise ValueError("demand must be scenario x item x period")
+            raise ValidationError("demand must be scenario x item x period")
         if np.any(np.diff(self.breakpoint_weight) < 0):
-            raise ValueError("breakpoint weights must be nondecreasing")
+            raise ValidationError("breakpoint weights must be nondecreasing")
         if np.any(np.diff(self.freight_cost) < 0):
-            raise ValueError("freight costs must be nondecreasing")
+            raise ValidationError("freight costs must be nondecreasing")
         for f in ARRAY_FIELDS[:ARRAY_FIELDS.index("probabilities")]:
             if np.any(getattr(self, f) < 0):
-                raise ValueError(f"{f} must be nonnegative")
+                raise ValidationError(f"{f} must be nonnegative")
         if abs(self.probabilities.sum() - 1.0) > 1e-9:
-            raise ValueError("scenario probabilities must sum to one")
+            raise ValidationError("scenario probabilities must sum to one")
 
     @property
     def num_scenarios(self):
@@ -83,20 +84,18 @@ class MssopInstance:
 
 
 def generate_mssop_instance(num_items, num_periods, num_scenarios,
-                            lumpy_fraction=0.2, seed=0,
-                            penalty_range=(150.0, 300.0),
-                            initial_inventory=0.0) -> MssopInstance:
+                            lumpy_fraction=0.2, seed=0) -> MssopInstance:
     """Random instance with N(100,10) demand, a lumpy cell subset at
-    N(150,20), and the fixed freight schedule."""
+    N(150,20), the fixed freight schedule and no initial inventory."""
     if min(num_items, num_periods, num_scenarios) < 1:
-        raise ValueError("items, periods and scenarios must each be at least 1")
+        raise ValidationError("items, periods and scenarios must each be at least 1")
     if not 0.0 <= lumpy_fraction <= 1.0:
-        raise ValueError("lumpy fraction must lie in [0, 1]")
+        raise ValidationError("lumpy fraction must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(seed))
     holding = rng.uniform(50.0, 100.0, num_items)
     setup = rng.uniform(500.0, 1000.0, num_items)
     weight = rng.uniform(1.0, 5.0, num_items)
-    penalty = rng.uniform(penalty_range[0], penalty_range[1], num_items)
+    penalty = rng.uniform(*PENALTY_RANGE, num_items)
 
     cells = num_items * num_periods
     n_lumpy = int(round(lumpy_fraction * cells))
@@ -113,7 +112,7 @@ def generate_mssop_instance(num_items, num_periods, num_scenarios,
         setup_cost=setup, freight_cost=np.array(FREIGHT_COST),
         breakpoint_weight=np.array(BREAKPOINT_WEIGHT), unit_weight=weight,
         holding_cost=holding, lost_sales_penalty=penalty,
-        initial_inventory=np.full(num_items, float(initial_inventory)),
+        initial_inventory=np.zeros(num_items),
         demand=demand, probabilities=np.full(num_scenarios, 1.0 / num_scenarios),
         demand_mean=mean, demand_std=std,
         name=f"M.{num_items}.{num_periods}.{num_scenarios}")
@@ -368,17 +367,14 @@ def compare_policies(instance, rho_list=(0.5, 0.9), replications=5, seed=0,
     model = build_mssop_two_stage(instance)
     runs = []
     art = build_dep_expectation(model.problem)
-    sol = backend.solve_mip(art.program, gap_tol=mip_gap)
-    if sol.status != "optimal":
-        raise RuntimeError(f"risk-neutral ordering model came back {sol.status}")
+    sol = optimal(backend.solve_mip(art.program, gap_tol=mip_gap),
+                  "risk-neutral ordering model")
     runs.append(("neutral", model.decode_plan(art.first_stage_values(sol.x))))
     for rho in rho_list:
         art = build_dep_absolute_semideviation(model.problem, rho,
                                                collapse_mean_row=True)
-        sol = backend.solve_mip(art.program, gap_tol=mip_gap)
-        if sol.status != "optimal":
-            raise RuntimeError(f"semideviation ordering model (rho={rho}) "
-                               f"came back {sol.status}")
+        sol = optimal(backend.solve_mip(art.program, gap_tol=mip_gap),
+                      f"semideviation ordering model (rho={rho})")
         runs.append((f"asd-{rho:g}", model.decode_plan(art.first_stage_values(sol.x))))
     out = []
     for label, plan in runs:

@@ -13,9 +13,7 @@ keep enumeration honest; anything larger is refused, not sampled.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,26 +34,10 @@ class ScaleRefused(ValueError):
     """Instance exceeds the enumeration caps; no fallback is attempted."""
 
 
-def _fingerprint(problem: TwoStageProblem) -> str:
-    blob = {
-        "c": problem.first_stage_cost.tolist(),
-        "A": problem.first_stage_matrix.tolist(),
-        "b": problem.first_stage_rhs.tolist(),
-        "scen": [[s.probability, s.cost.tolist(), s.technology.tolist(),
-                  s.recourse.tolist(), s.rhs.tolist()] for s in problem.scenarios],
-    }
-    raw = json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(raw).hexdigest()[:16]
-
-
 @dataclass
 class OracleResult:
-    fingerprint: str
-    enumeration_size: int
-    feasible_points: int
     x: np.ndarray
     objective: float
-    values_at_optimum: dict
 
 
 def _measure_value(totals, p, measure, rho, eta, first_stage_cost, excess_on):
@@ -105,13 +87,10 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
     p = problem.probabilities
     best_x = None
     best_val = np.inf
-    best_totals = None
-    feasible = 0
     for bits in itertools.product((0.0, 1.0), repeat=problem.n1):
         x = np.array(bits)
         if not problem.first_stage_feasible(x, tol=FEAS_TOL):
             continue
-        feasible += 1
         cx = float(problem.first_stage_cost @ x)
         totals = cx + scenario_costs(problem, x, backend=backend, threads=threads)
         val = _measure_value(totals, p, spec.measure, spec.rho, spec.eta,
@@ -119,21 +98,9 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
         if best_x is None or val < best_val - 1e-12 * max(1.0, abs(best_val)):
             best_val = val
             best_x = x
-            best_totals = totals
     if best_x is None:
         raise RuntimeError("no feasible first stage found by enumeration")
-    c_at = float(problem.first_stage_cost @ best_x)
-    at_opt = {
-        "expectation": _measure_value(best_totals, p, RiskMeasure.EXPECTATION,
-                                      0.0, None, c_at, excess_on),
-        "absolute-semideviation": _measure_value(
-            best_totals, p, RiskMeasure.ABSOLUTE_SEMIDEVIATION,
-            spec.rho or 0.0, None, c_at, excess_on),
-    }
-    return OracleResult(fingerprint=_fingerprint(problem),
-                        enumeration_size=2 ** problem.n1,
-                        feasible_points=feasible, x=best_x,
-                        objective=best_val, values_at_optimum=at_opt)
+    return OracleResult(x=best_x, objective=best_val)
 
 
 def cut_validity_audit(problem, rho, eta, cuts, backend=None, threads=None):

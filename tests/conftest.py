@@ -6,13 +6,15 @@ feasible in the first stage.  Problems stay small enough for the
 brute-force oracles.  ``NoSolver`` is the backend for code that must not
 solve anything: every call fails the test.  ``pin_first_stage`` and
 ``relax_second_stage`` derive variants of an assembled extensive form.
+``verify_complete_recourse`` certifies the knapsack family's recourse.
 """
 import dataclasses
 
 import numpy as np
 import pytest
 
-from riskshed.backend import Backend
+from riskshed.backend import (Backend, LinearProgram, MixedBinaryProgram,
+                              get_backend, optimal)
 from riskshed.model import Scenario, TwoStageProblem
 
 
@@ -74,6 +76,30 @@ def relax_second_stage(artifact):
     binary[artifact.n1:] = False
     program = dataclasses.replace(artifact.program, binary=binary)
     return dataclasses.replace(artifact, program=program)
+
+
+def verify_complete_recourse(problem, backend=None):
+    """Certify that y = 0 stays feasible for every feasible first stage.
+
+    Solves max sum x over the first-stage region exactly and compares the
+    load against the smallest scenario capacity.  Returns (ok, margin);
+    margin is min capacity minus worst-case load, positive when certified.
+    Sufficient, not necessary: a negative margin only means the cheap
+    certificate failed.
+    """
+    n1, m1 = problem.n1, problem.m1
+    lp = LinearProgram(
+        objective=-np.ones(n1),             # maximize cardinality
+        lhs=problem.first_stage_matrix, senses=[">="] * m1,
+        rhs=problem.first_stage_rhs,
+        lower=np.zeros(n1), upper=np.ones(n1))
+    sol = optimal(get_backend(backend).solve_mip(MixedBinaryProgram(
+        lp=lp, binary=problem.first_stage_integrality.copy())),
+        "first-stage load check")
+    max_load = -sol.objective
+    min_capacity = min(float((-s.rhs).min()) for s in problem.scenarios)
+    margin = min_capacity - max_load
+    return margin >= 0.0, margin
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 
 from riskshed.backend import (
     INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram, MemoBackend,
-    MixedBinaryProgram, ScipyBackend, get_backend,
+    MixedBinaryProgram, ScipyBackend, SolveFailed, get_backend, optimal,
 )
 from riskshed.backend import scipy_backend
 from riskshed.dep import build_dep_expectation
@@ -79,6 +79,22 @@ def test_lp_infeasible_and_unbounded():
     free = LinearProgram(objective=[-1.0], lhs=[[0.0]], senses=["<="],
                          rhs=[1.0], lower=[0.0], upper=[np.inf])
     assert ScipyBackend().solve_lp(free).status == UNBOUNDED
+
+
+def test_optimal_raises_solve_failed_with_the_status():
+    bad = LinearProgram(objective=[1.0], lhs=[[1.0], [-1.0]],
+                        senses=[">=", ">="], rhs=[2.0, -1.0],
+                        lower=[0.0], upper=[1.0])
+    backend = ScipyBackend()
+    with pytest.raises(SolveFailed, match="^pinned lp came back infeasible$") as err:
+        optimal(backend.solve_lp(bad), "pinned lp")
+    assert err.value.status == INFEASIBLE
+    with pytest.raises(SolveFailed) as err:
+        optimal(backend.solve_mip(MixedBinaryProgram(lp=bad, binary=[True])),
+                "pinned mip")
+    assert err.value.status == INFEASIBLE
+    good = backend.solve_mip(_hand_knapsack())
+    assert optimal(good, "hand knapsack") is good
 
 
 def test_equality_rows_and_free_variables():

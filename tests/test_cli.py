@@ -1,5 +1,6 @@
 """Operator surface: dispatch, exit codes, manifests, replays."""
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -294,6 +295,60 @@ def test_infeasible_model_exits_3(tmp_path):
     assert fileio.load_result(out)["status"] == "infeasible"
 
 
+def two_scenario_problem(probability):
+    # x + 2y = 1 in both scenarios: x = 1 is the one binary plan with
+    # recourse, but the relaxed recourse also admits x = 0 with y = 1/2.
+    def scenario(q):
+        return Scenario(probability=probability, cost=np.array([q]),
+                        technology=np.array([[1.0], [-1.0]]),
+                        recourse=np.array([[2.0], [-2.0]]),
+                        rhs=np.array([1.0, -1.0]))
+    return TwoStageProblem(
+        first_stage_cost=np.array([5.0]), first_stage_matrix=np.array([[0.0]]),
+        first_stage_rhs=np.array([-1.0]), scenarios=[scenario(-1.0), scenario(-3.0)])
+
+
+@pytest.mark.parametrize("probability, argv, code, message", [
+    (0.5, ["--risk", "mod-ee", "--rho", "0.5", "--eta", "0", "--method",
+           "lshaped"], 3, "error: scenario 0 has no feasible recourse at x=[0.0]"),
+    (0.25, ["--risk", "neutral"], 2, "error: scenario probabilities sum to 0.5"),
+], ids=["lshaped-no-recourse", "probabilities-half"])
+def test_solve_faults_exit_by_type(tmp_path, capsys, probability, argv, code,
+                                   message):
+    path = str(tmp_path / "fault.sp2.json")
+    fileio.save_problem(path, problem=two_scenario_problem(probability))
+    out = tmp_path / "fault.result.json"
+    assert run("solve", "--in", path, *argv, "--out", str(out)) == code
+    assert message in capsys.readouterr().err
+    manifest = str(out) + cli.MANIFEST_SUFFIX
+    if code == 2:
+        assert not out.exists() and not os.path.exists(manifest)
+    else:
+        assert fileio.load_result(str(out))["status"] == "infeasible"
+        assert cli.load_manifest(manifest)["exit_status"] == code
+
+
+def test_problem_without_first_stage_rows_round_trips(tmp_path):
+    knap = generate_knapsack(KnapsackGenSpec(5, 6, 3, seed=4, m1=3, m2=4))
+    problem = dataclasses.replace(knap, first_stage_matrix=np.zeros((0, 5)),
+                                  first_stage_rhs=np.zeros(0))
+    path = str(tmp_path / "free.sp2.json")
+    fileio.save_problem(path, problem=problem)
+    loaded = fileio.load_problem(path).problem
+    assert loaded.first_stage_matrix.shape == (0, 5)
+    assert loaded.scenarios[0].technology.shape == (4, 5)
+    for method, argv, spec in (
+            ("dep", ["--risk", "neutral"], RiskSpec()),
+            ("rm-asd", ["--risk", "asd", "--rho", "0.5", "--epsilon", "5"],
+             RiskSpec(RiskMeasure.ABSOLUTE_SEMIDEVIATION, rho=0.5))):
+        out = str(tmp_path / f"{method}.result.json")
+        assert run("solve", "--in", path, *argv, "--method", method,
+                   "--out", out) == 0
+        doc = fileio.load_result(out)
+        assert doc["objective"] == pytest.approx(
+            evaluate_objective(problem, doc["x"], spec), rel=1e-9)
+
+
 def test_node_cap_exits_4_with_partial_result(tmp_path):
     path = str(tmp_path / "cap.sp2.json")
     assert run("gen", "knapsack", "--n1", "10", "--n2", "20", "--scens", "10",
@@ -507,6 +562,49 @@ def test_rerun_rejects_a_removed_backend(knap_file, tmp_path, capsys):
     assert run("rerun", "--manifest", manifest,
                "--out-dir", str(tmp_path / "b")) == 2
     assert "error: unknown backend 'auto'" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def _manifest_of(step, knap_file, mssop_file, tmp_path):
+    """Manifest of a gen, solve, simulate or report run."""
+    if step.startswith("gen"):
+        return (knap_file if step == "gen-knapsack" else mssop_file) + cli.MANIFEST_SUFFIX
+    plan, sim = str(tmp_path / "p.result.json"), str(tmp_path / "p.sim.csv")
+    steps = {"solve": ("solve", "--in", mssop_file, "--risk", "neutral",
+                       "--out", plan),
+             "simulate": ("simulate", "--in", mssop_file, "--plan", plan,
+                          "--reps", "2", "--out", sim),
+             "report": ("report", "--inputs", sim, "--out",
+                        str(tmp_path / "agg.csv"))}
+    for name, argv in steps.items():
+        assert run(*argv) == 0
+        if name == step:
+            return argv[-1] + cli.MANIFEST_SUFFIX
+
+
+@pytest.mark.parametrize("step, edit, message", [
+    ("gen-knapsack", lambda c: c.pop("seed"), "manifest config lacks seed"),
+    ("gen-knapsack", lambda c: c.update(kind="cube"), "unknown kind 'cube'"),
+    ("gen-mssop", lambda c: c.pop("lumpy"), "manifest config lacks lumpy"),
+    ("solve", lambda c: c.update(backend="reference"),
+     "unknown backend 'reference'"),
+    ("simulate", lambda c: c.pop("reps"), "manifest config lacks reps"),
+    ("report", lambda c: c.pop("inputs"), "manifest config lacks inputs"),
+], ids=["gen-no-seed", "gen-unknown-kind", "mssop-no-lumpy",
+        "solve-removed-backend", "simulate-no-reps", "report-no-inputs"])
+def test_rerun_rejects_a_broken_config_before_writing(
+        knap_file, mssop_file, tmp_path, capsys, step, edit, message):
+    manifest = _manifest_of(step, knap_file, mssop_file, tmp_path)
+    doc = json.load(open(manifest))
+    edit(doc["config"])
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    replay_dir = tmp_path / "replay"
+    assert run("rerun", "--manifest", manifest,
+               "--out-dir", str(replay_dir)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not replay_dir.exists()
 
 
 @pytest.mark.parametrize("edit", [

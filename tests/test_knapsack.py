@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 
 from riskshed.dep import build_dep_expectation
-from riskshed.knapsack import (
-    KnapsackGenSpec, audit_dimensions, generate_knapsack,
-    verify_complete_recourse,
-)
+from riskshed.knapsack import KnapsackGenSpec, audit_dimensions, generate_knapsack
+
+from conftest import verify_complete_recourse
 
 # (n1, n2, scenarios) -> (binary vars, constraints, nonzeros) at m1=10, m2=20
 CATALOG = {
