@@ -4,6 +4,8 @@ Eight (n1, n2, scenarios) combinations at m1=10, m2=20.  Dimensions come
 from the closed-form audit and are cross-checked here against one
 materialized build per row.
 """
+import numpy as np
+
 from riskshed.dep import build_dep_expectation
 from riskshed.knapsack import KnapsackGenSpec, audit_dimensions, generate_knapsack
 
@@ -14,6 +16,6 @@ print(f"{'instance':>14} {'bvars':>7} {'constr':>7} {'nonzeros':>9}")
 for n1, n2, S in SIZES:
     problem = generate_knapsack(KnapsackGenSpec(n1, n2, S, seed=1))
     nvars, ncons, nnz = audit_dimensions(problem)
-    built = build_dep_expectation(problem).stats
-    assert built == (nvars, ncons, nnz)
+    lp = build_dep_expectation(problem).program.lp
+    assert (lp.num_vars, lp.num_rows, np.count_nonzero(lp.lhs)) == (nvars, ncons, nnz)
     print(f"{problem.name:>14} {nvars:>7} {ncons:>7} {nnz:>9}")

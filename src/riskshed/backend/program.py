@@ -38,8 +38,8 @@ def optimal(sol, what):
 class LinearProgram:
     """min objective'x  s.t.  lhs x {<=,=,>=} rhs,  lower <= x <= upper.
 
-    Dense data; senses is a per-row sequence drawn from SENSES.  Bounds may be
-    -inf/+inf.
+    Dense data: lhs is an (m, n) matrix, also when m is 0; senses is a
+    per-row sequence drawn from SENSES.  Bounds may be -inf/+inf.
     """
 
     objective: np.ndarray
@@ -52,15 +52,13 @@ class LinearProgram:
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         self.lhs = np.asarray(self.lhs, dtype=float)
-        if self.lhs.ndim == 1:
-            self.lhs = self.lhs.reshape(1, -1)
+        if self.lhs.ndim != 2:
+            raise ValueError(f"lhs must be 2-dimensional, got shape {self.lhs.shape}")
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         self.senses = list(self.senses)
-        m, n = self.lhs.shape if self.lhs.size else (len(self.senses), self.objective.shape[0])
-        if self.lhs.size == 0:
-            self.lhs = self.lhs.reshape(m, n)
+        m, n = self.lhs.shape
         if self.objective.shape != (n,):
             raise ValueError(f"objective shape {self.objective.shape} != ({n},)")
         if self.rhs.shape != (m,):

@@ -1,9 +1,11 @@
 """The HiGHS backend, through scipy's ``linprog`` and ``milp``.
 
 scipy is a hard dependency and HiGHS is the package's one solver: every
-LP and MIP the package solves runs here.  Duals are remapped to the
-package convention (>= rows nonnegative, <= rows nonpositive,
-minimization).
+LP and MIP the package solves runs here.  Both read rows through one pair
+of sense masks (``_senses``): ``milp`` as row bounds, ``linprog`` as a
+``<=`` block with ``>=`` rows negated plus an equality block, its duals
+mapped back to the package convention (>= rows nonnegative, <= rows
+nonpositive, minimization).
 
 Every MIP solve gets the caller's relative gap and node cap plus one fixed
 HiGHS setting: the feasibility-jump primal heuristic is off.  The programs
@@ -27,40 +29,25 @@ from .program import (
 )
 
 
-def _split_rows(lp):
-    """Partition rows into (A_ub, b_ub, ub_map) and (A_eq, b_eq, eq_map).
-
-    >= rows are negated into <= form; ub_map records (row index, sign) so the
-    marginals can be mapped back.
-    """
-    A_ub, b_ub, ub_map = [], [], []
-    A_eq, b_eq, eq_map = [], [], []
-    for i, sense in enumerate(lp.senses):
-        if sense == "=":
-            A_eq.append(lp.lhs[i])
-            b_eq.append(lp.rhs[i])
-            eq_map.append(i)
-        elif sense == "<=":
-            A_ub.append(lp.lhs[i])
-            b_ub.append(lp.rhs[i])
-            ub_map.append((i, 1.0))
-        else:
-            A_ub.append(-lp.lhs[i])
-            b_ub.append(-lp.rhs[i])
-            ub_map.append((i, -1.0))
-    return (A_ub, b_ub, ub_map), (A_eq, b_eq, eq_map)
+def _senses(lp):
+    """The ``<=`` and ``>=`` row masks; every other row is an equality."""
+    senses = np.array(lp.senses)
+    return senses == "<=", senses == ">="
 
 
 def solve_lp(lp) -> LpSolution:
-    (A_ub, b_ub, ub_map), (A_eq, b_eq, eq_map) = _split_rows(lp)
-    bounds = list(zip(lp.lower, lp.upper))
+    le, ge = _senses(lp)
+    ub = le | ge
+    eq = ~ub
+    # linprog takes <= rows only: negate the >= rows, and their duals back.
+    sign = np.where(ge, -1.0, 1.0)
     res = sciopt.linprog(
         c=lp.objective,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
+        A_ub=lp.lhs[ub] * sign[ub, None] if ub.any() else None,
+        b_ub=lp.rhs[ub] * sign[ub] if ub.any() else None,
+        A_eq=lp.lhs[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=list(zip(lp.lower, lp.upper)),
         method="highs",
     )
     if res.status == 2:
@@ -70,10 +57,8 @@ def solve_lp(lp) -> LpSolution:
     if res.status != 0:
         raise NumericalFailure(f"linprog failed: {res.message}")
     duals = np.zeros(lp.num_rows)
-    for k, (i, sign) in enumerate(ub_map):
-        duals[i] = sign * res.ineqlin.marginals[k]
-    for k, i in enumerate(eq_map):
-        duals[i] = res.eqlin.marginals[k]
+    duals[ub] = sign[ub] * res.ineqlin.marginals
+    duals[eq] = res.eqlin.marginals
     iters = int(getattr(res, "nit", 0) or 0)
     return LpSolution(status=OPTIMAL, objective=float(res.fun), x=res.x.copy(),
                       duals=duals, iterations=iters)
@@ -81,10 +66,9 @@ def solve_lp(lp) -> LpSolution:
 
 def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
     lp = mip.lp
-    is_le = np.array([s == "<=" for s in lp.senses], dtype=bool)
-    is_ge = np.array([s == ">=" for s in lp.senses], dtype=bool)
-    lb = np.where(is_le, -np.inf, lp.rhs)
-    ub = np.where(is_ge, np.inf, lp.rhs)
+    le, ge = _senses(lp)
+    lb = np.where(le, -np.inf, lp.rhs)
+    ub = np.where(ge, np.inf, lp.rhs)
     lower = np.maximum(lp.lower, np.where(mip.binary, 0.0, lp.lower))
     upper = np.minimum(lp.upper, np.where(mip.binary, 1.0, lp.upper))
     constraints = (

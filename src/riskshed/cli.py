@@ -515,11 +515,16 @@ def run_rerun(cfg):
         inner.update((name, None) for name in METHOD_FLAGS if name not in flags)
     _check_config(build_parser(), dict(inner, subcommand=sub))
     out_dir = cfg["out_dir"]
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     for key in OUTPUT_KEYS[sub]:
         if inner.get(key):
             inner[key] = os.path.join(out_dir, os.path.basename(inner[key]))
-    return execute(sub, inner)
+    code = execute(sub, inner)
+    # a value check of the replayed run failed: leave no empty directory
+    if code == EXIT_USAGE and created and not os.listdir(out_dir):
+        os.rmdir(out_dir)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,6 @@ class DepArtifact:
     program: MixedBinaryProgram
     n1: int
 
-    @property
-    def stats(self):
-        """(variables, constraints, nonzeros) counted from the emitted matrix."""
-        lp = self.program.lp
-        return lp.num_vars, lp.num_rows, int(np.count_nonzero(lp.lhs))
-
     def first_stage_values(self, x_full):
         return np.asarray(x_full)[:self.n1]
 

@@ -129,12 +129,6 @@ class ReplenishmentPlan:
         return float(instance.setup_cost @ self.setups.sum(axis=1)
                      + instance.freight_cost @ self.segment_weights.sum(axis=1))
 
-    def shipped_weight(self, instance: MssopInstance) -> np.ndarray:
-        return instance.unit_weight @ self.orders
-
-    def freight_by_period(self, instance: MssopInstance) -> np.ndarray:
-        return instance.freight_cost @ self.segment_weights
-
 
 @dataclass
 class MssopModel:

@@ -40,7 +40,7 @@ class OracleResult:
     objective: float
 
 
-def _measure_value(totals, p, measure, rho, eta, first_stage_cost, excess_on):
+def _measure_value(totals, p, measure, rho, eta, first_stage_cost):
     # deliberately restated from first principles, not shared with model.py
     mean = float(np.dot(p, totals))
     if measure == RiskMeasure.EXPECTATION:
@@ -48,21 +48,18 @@ def _measure_value(totals, p, measure, rho, eta, first_stage_cost, excess_on):
     if measure == RiskMeasure.ABSOLUTE_SEMIDEVIATION:
         dev = np.maximum(totals - mean, 0.0)
         return mean + rho * float(np.dot(p, dev))
-    if excess_on == "second_stage":
+    if measure == RiskMeasure.EXPECTED_EXCESS:
         over = np.maximum((totals - first_stage_cost) - eta, 0.0)
         excess = first_stage_cost + float(np.dot(p, over))
-    else:
-        excess = float(np.dot(p, np.maximum(totals - eta, 0.0)))
-    if measure == RiskMeasure.EXPECTED_EXCESS:
         return mean + rho * excess
     if measure == RiskMeasure.MODIFIED_EXPECTED_EXCESS:
+        excess = float(np.dot(p, np.maximum(totals - eta, 0.0)))
         return (1.0 - rho) * mean + rho * excess
     raise ValueError(f"unknown measure {measure}")
 
 
 def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
-                        excess_on="total", backend=None,
-                        threads=None) -> OracleResult:
+                        backend=None, threads=None) -> OracleResult:
     """Exhaustive minimization over binary first stages.
 
     Enumerates lexicographically and keeps the first strict minimizer, so
@@ -70,10 +67,9 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
     from ``model.scenario_costs``, which enumerates all-binary recourse
     and solves anything else on ``backend``.
 
-    excess_on picks how the excess measures read eta: "second_stage"
-    against f_w - c'x with c'x added to the excess term, "total" against
-    f_w.  ``model`` reads expected excess the "second_stage" way and
-    modified expected excess the "total" way.
+    Each excess measure reads eta the way ``model`` does: expected excess
+    against the second-stage cost f_w - c'x, modified expected excess
+    against the total f_w.
     """
     if problem.n1 > MAX_N1 or problem.n2 > MAX_N2:
         raise ScaleRefused(f"n1={problem.n1}, n2={problem.n2} "
@@ -93,8 +89,7 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
             continue
         cx = float(problem.first_stage_cost @ x)
         totals = cx + scenario_costs(problem, x, backend=backend, threads=threads)
-        val = _measure_value(totals, p, spec.measure, spec.rho, spec.eta,
-                             cx, excess_on)
+        val = _measure_value(totals, p, spec.measure, spec.rho, spec.eta, cx)
         if best_x is None or val < best_val - 1e-12 * max(1.0, abs(best_val)):
             best_val = val
             best_x = x

@@ -6,7 +6,9 @@ feasible in the first stage.  Problems stay small enough for the
 brute-force oracles.  ``NoSolver`` is the backend for code that must not
 solve anything: every call fails the test.  ``pin_first_stage`` and
 ``relax_second_stage`` derive variants of an assembled extensive form.
-``verify_complete_recourse`` certifies the knapsack family's recourse.
+``svc_problem`` rebuilds the service-style family of the cut audit.
+``verify_complete_recourse`` certifies the knapsack family's recourse,
+and ``dep_dimensions`` counts an assembled extensive form.
 """
 import dataclasses
 
@@ -48,6 +50,32 @@ def covering_problem(rng, n1=4, n2=6, m1=3, m2=5, num_scenarios=3,
     return TwoStageProblem(
         first_stage_cost=c, first_stage_matrix=A, first_stage_rhs=b,
         scenarios=scenarios, first_stage_integrality=np.ones(n1, bool))
+
+
+def svc_problem(seed):
+    """The service-style ``svc.s`` family of docs/cut_audit_findings.md.
+
+    All costs are nonnegative and paid slack makes recourse complete.  Five
+    binary first-stage columns under one trivial row (sum x >= 0); four
+    equiprobable scenarios, each drawing T, R, the binary q, the slack q
+    and h in that order, with W = [R | I] and the R columns binary.
+    """
+    rng = np.random.default_rng(np.random.Philox(seed))
+    c = rng.uniform(0.5, 3, 5)
+    scenarios = []
+    for _ in range(4):
+        T = rng.integers(-2, 3, (4, 5))
+        R = rng.integers(-1, 3, (4, 3))
+        q = np.concatenate([rng.uniform(1, 5, 3), rng.uniform(4, 8, 4)])
+        h = rng.uniform(1, 6, 4)
+        scenarios.append(Scenario(
+            probability=0.25, cost=q, technology=T,
+            recourse=np.hstack([R, np.eye(4)]), rhs=h,
+            integrality=np.arange(7) < 3))
+    return TwoStageProblem(
+        first_stage_cost=c, first_stage_matrix=np.ones((1, 5)),
+        first_stage_rhs=np.zeros(1), scenarios=scenarios,
+        first_stage_integrality=np.ones(5, bool), name=f"svc.{seed}")
 
 
 def greedy_feasible_point(problem):
@@ -100,6 +128,12 @@ def verify_complete_recourse(problem, backend=None):
     min_capacity = min(float((-s.rhs).min()) for s in problem.scenarios)
     margin = min_capacity - max_load
     return margin >= 0.0, margin
+
+
+def dep_dimensions(art):
+    """(variables, constraints, nonzeros) of an extensive form's matrix."""
+    lp = art.program.lp
+    return lp.num_vars, lp.num_rows, int(np.count_nonzero(lp.lhs))
 
 
 @pytest.fixture

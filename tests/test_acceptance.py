@@ -138,7 +138,7 @@ def test_criterion_03_extensive_forms_match_oracle():
         eta = mip_opt(build_dep_expectation(problem))
         ee_oracle = brute_force_optimum(
             problem, RiskSpec("expected-excess", rho=rho, eta=eta),
-            excess_on="second_stage", backend=BACKEND).objective
+            backend=BACKEND).objective
         ee_dep = mip_opt(build_dep_expected_excess(problem, rho, eta))
         for a, b in ((asd_oracle, asd_dep), (ee_oracle, ee_dep)):
             if abs(a - b) > 1e-6 * max(1.0, abs(a)):

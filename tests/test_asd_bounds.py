@@ -16,6 +16,9 @@ from riskshed.dep import build_dep_absolute_semideviation, build_dep_expectation
 from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
 from riskshed.lshaped import CutPool, solve_subproblems
 from riskshed.model import RiskMeasure, RiskSpec, evaluate_objective
+from riskshed.oracle import brute_force_optimum
+
+from conftest import svc_problem
 
 
 def small_knapsack(seed):
@@ -189,6 +192,28 @@ def test_knapsack_seed_659_master_solves():
     scale = max(1.0, abs(opt))
     assert state.lower <= opt + 1e-7 * scale
     assert opt <= state.upper + 1e-7 * scale
+
+
+# svc seed, rho: runs of the bounding driver whose lower bound passes the
+# enumerated optimum (ROADMAP item 1); each run reports `converged`.
+SVC_OVERSHOOT = [(0, 0.9), (7, 0.5), (8, 0.9), (12, 0.5), (18, 0.9)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the excess-mean cut shares theta with the classic "
+                          "cuts, so master + rho*eta is not a proven bound")
+def test_lower_bound_stays_below_the_svc_optimum():
+    above = []
+    for seed, rho in SVC_OVERSHOOT:
+        problem = svc_problem(seed)
+        state = rm_asd_solve(problem, AsdBoundsConfig(
+            rho=rho, max_iters=12, backend=ScipyBackend()))
+        opt = brute_force_optimum(
+            problem, RiskSpec(RiskMeasure.ABSOLUTE_SEMIDEVIATION, rho=rho),
+            backend=ScipyBackend()).objective
+        if state.lower > opt + 1e-7 * max(1.0, abs(opt)):
+            above.append((seed, rho, state.lower, opt, state.status))
+    assert not above, above
 
 
 def test_history_row_fields():

@@ -71,6 +71,43 @@ def test_lp_duals_certify_objective():
         assert abs(dual_obj - sol.objective) < 1e-7 * max(1.0, abs(sol.objective))
 
 
+def test_mixed_senses_duals_follow_the_convention():
+    # rows of every sense around a known interior point: always feasible
+    rng = np.random.default_rng(5)
+    backend = ScipyBackend()
+    for trial in range(25):
+        n, m = 5, 6
+        A = rng.uniform(-2.0, 3.0, (m, n))
+        senses = list(rng.choice(["<=", "=", ">="], m))
+        slack = np.select([np.array(senses) == "<=", np.array(senses) == ">="],
+                          [1.0, -1.0], 0.0)
+        lp = LinearProgram(objective=rng.uniform(-5.0, 5.0, n), lhs=A,
+                           senses=senses, rhs=A @ np.full(n, 0.5) + slack,
+                           lower=np.zeros(n), upper=np.ones(n))
+        sol = backend.solve_lp(lp)
+        assert sol.status == OPTIMAL
+        le, ge = slack > 0, slack < 0
+        assert np.all(sol.duals[le] <= 1e-9) and np.all(sol.duals[ge] >= -1e-9)
+        rc = lp.objective - lp.lhs.T @ sol.duals
+        dual_obj = sol.duals @ lp.rhs + lp.upper @ np.minimum(rc, 0.0)
+        assert abs(dual_obj - sol.objective) < 1e-7 * max(1.0, abs(sol.objective))
+
+
+def test_lhs_must_be_a_matrix_with_or_without_rows():
+    with pytest.raises(ValueError, match="lhs must be 2-dimensional"):
+        LinearProgram(objective=[1.0, 1.0], lhs=[1.0, 1.0], senses=[">="],
+                      rhs=[1.0], lower=[0.0, 0.0], upper=[1.0, 1.0])
+    bounds_only = LinearProgram(objective=[1.0, -1.0], lhs=np.zeros((0, 2)),
+                                senses=[], rhs=[], lower=[0.0, 0.0],
+                                upper=[1.0, 1.0])
+    sol = ScipyBackend().solve_lp(bounds_only)
+    assert sol.status == OPTIMAL and sol.objective == -1.0
+    assert sol.duals.shape == (0,)
+    mip = ScipyBackend().solve_mip(
+        MixedBinaryProgram(lp=bounds_only, binary=[True, True]))
+    assert mip.status == OPTIMAL and mip.x.tolist() == [0.0, 1.0]
+
+
 def test_lp_infeasible_and_unbounded():
     bad = LinearProgram(objective=[1.0], lhs=[[1.0], [-1.0]],
                         senses=[">=", ">="], rhs=[2.0, -1.0],

@@ -328,6 +328,20 @@ def test_solve_faults_exit_by_type(tmp_path, capsys, probability, argv, code,
         assert cli.load_manifest(manifest)["exit_status"] == code
 
 
+@pytest.mark.parametrize("risk, measure", [
+    ("ee", RiskMeasure.EXPECTED_EXCESS),
+    ("mod-ee", RiskMeasure.MODIFIED_EXPECTED_EXCESS)])
+def test_solve_dep_on_excess_measures(knap_file, tmp_path, risk, measure):
+    out = str(tmp_path / f"{risk}.result.json")
+    assert run("solve", "--in", knap_file, "--risk", risk, "--rho", "0.4",
+               "--eta", "-2000", "--method", "dep", "--out", out) == 0
+    doc = fileio.load_result(out)
+    problem = fileio.load_problem(knap_file).problem
+    want = evaluate_objective(problem, doc["x"],
+                              RiskSpec(measure, rho=0.4, eta=-2000.0))
+    assert doc["objective"] == pytest.approx(want, rel=1e-6)
+
+
 def test_problem_without_first_stage_rows_round_trips(tmp_path):
     knap = generate_knapsack(KnapsackGenSpec(5, 6, 3, seed=4, m1=3, m2=4))
     problem = dataclasses.replace(knap, first_stage_matrix=np.zeros((0, 5)),
@@ -340,7 +354,11 @@ def test_problem_without_first_stage_rows_round_trips(tmp_path):
     for method, argv, spec in (
             ("dep", ["--risk", "neutral"], RiskSpec()),
             ("rm-asd", ["--risk", "asd", "--rho", "0.5", "--epsilon", "5"],
-             RiskSpec(RiskMeasure.ABSOLUTE_SEMIDEVIATION, rho=0.5))):
+             RiskSpec(RiskMeasure.ABSOLUTE_SEMIDEVIATION, rho=0.5)),
+            # the cold-start master has no rows at all
+            ("lshaped", ["--risk", "mod-ee", "--rho", "0.5", "--eta", "-1500"],
+             RiskSpec(RiskMeasure.MODIFIED_EXPECTED_EXCESS, rho=0.5,
+                      eta=-1500.0))):
         out = str(tmp_path / f"{method}.result.json")
         assert run("solve", "--in", path, *argv, "--method", method,
                    "--out", out) == 0
@@ -590,8 +608,12 @@ def _manifest_of(step, knap_file, mssop_file, tmp_path):
      "unknown backend 'reference'"),
     ("simulate", lambda c: c.pop("reps"), "manifest config lacks reps"),
     ("report", lambda c: c.pop("inputs"), "manifest config lacks inputs"),
+    ("solve", lambda c: c.update(mip_gap=-1.0),
+     "--mip-gap must be finite and non-negative"),
+    ("simulate", lambda c: c.update(reps=0), "--reps must be at least 1"),
 ], ids=["gen-no-seed", "gen-unknown-kind", "mssop-no-lumpy",
-        "solve-removed-backend", "simulate-no-reps", "report-no-inputs"])
+        "solve-removed-backend", "simulate-no-reps", "report-no-inputs",
+        "solve-negative-gap", "simulate-no-replications"])
 def test_rerun_rejects_a_broken_config_before_writing(
         knap_file, mssop_file, tmp_path, capsys, step, edit, message):
     manifest = _manifest_of(step, knap_file, mssop_file, tmp_path)

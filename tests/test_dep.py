@@ -17,8 +17,8 @@ from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
 from riskshed.model import RiskMeasure, RiskSpec, evaluate_objective
 from riskshed.mssop import build_mssop_two_stage, generate_mssop_instance
 
-from conftest import (covering_problem, greedy_feasible_point, pin_first_stage,
-                      relax_second_stage)
+from conftest import (covering_problem, dep_dimensions, greedy_feasible_point,
+                      pin_first_stage, relax_second_stage)
 
 BUILDERS = {
     "expectation": build_dep_expectation,
@@ -73,23 +73,11 @@ def test_pinned_x_matches_evaluator(name):
             name, trial, sol.objective, want)
 
 
-def test_structural_nnz_matches_matrix():
-    rng = np.random.default_rng(33)
-    for trial in range(5):
-        problem = covering_problem(rng, num_scenarios=3)
-        for name in BUILDERS:
-            art = _builder_call(name, problem, 0.5, -30.0)
-            nv, nc, nnz = art.stats
-            lp = art.program.lp
-            assert nv == lp.num_vars and nc == lp.num_rows
-            assert nnz == int(np.count_nonzero(lp.lhs))
-
-
 def test_expectation_layout():
     rng = np.random.default_rng(40)
     problem = covering_problem(rng, n1=3, n2=4, num_scenarios=2)
     art = build_dep_expectation(problem)
-    nv, nc, _ = art.stats
+    nv, nc, _ = dep_dimensions(art)
     assert nv == 3 + 2 * 4
     assert nc == problem.m1 + 2 * problem.m2
     # probability-weighted scenario costs sit on the y blocks
@@ -102,12 +90,13 @@ def test_expectation_layout():
 def test_excess_builders_add_one_row_and_var_per_scenario():
     rng = np.random.default_rng(41)
     problem = covering_problem(rng, num_scenarios=4)
-    base = build_dep_expectation(problem)
+    base_nv, base_nc, _ = dep_dimensions(build_dep_expectation(problem))
     for build in (build_dep_expected_excess,
                   build_dep_modified_expected_excess):
         art = build(problem, 0.3, -20.0)
-        assert art.stats[0] == base.stats[0] + 4      # one v per scenario
-        assert art.stats[1] == base.stats[1] + 4      # one link per scenario
+        nv, nc, _ = dep_dimensions(art)
+        assert nv == base_nv + 4      # one v per scenario
+        assert nc == base_nc + 4      # one link per scenario
         # v is nonnegative, not binary
         for k in range(4):
             v = _v(problem, k)
@@ -118,10 +107,11 @@ def test_excess_builders_add_one_row_and_var_per_scenario():
 def test_asd_builder_two_rows_free_v():
     rng = np.random.default_rng(42)
     problem = covering_problem(rng, num_scenarios=3)
-    base = build_dep_expectation(problem)
+    base_nv, base_nc, _ = dep_dimensions(build_dep_expectation(problem))
     art = build_dep_absolute_semideviation(problem, 0.6)
-    assert art.stats[0] == base.stats[0] + 3
-    assert art.stats[1] == base.stats[1] + 2 * 3      # own + mean row each
+    nv, nc, _ = dep_dimensions(art)
+    assert nv == base_nv + 3
+    assert nc == base_nc + 2 * 3      # own + mean row each
     for k in range(3):
         assert np.isneginf(art.program.lp.lower[_v(problem, k)])
 
@@ -158,7 +148,7 @@ def test_asd_collapsed_equals_dense():
         assert a.status == b.status == "optimal"
         assert abs(a.objective - b.objective) < 1e-7 * max(1.0, abs(a.objective))
         # the collapsed form trades S extra alias rows for mean-row sparsity
-        assert sparse.stats[0] == dense.stats[0] + 1
+        assert sparse.program.lp.num_vars == dense.program.lp.num_vars + 1
 
 
 def test_optimal_dep_beats_any_pinned_x():

@@ -5,7 +5,7 @@ import pytest
 from riskshed.dep import build_dep_expectation
 from riskshed.knapsack import KnapsackGenSpec, audit_dimensions, generate_knapsack
 
-from conftest import verify_complete_recourse
+from conftest import dep_dimensions, verify_complete_recourse
 
 # (n1, n2, scenarios) -> (binary vars, constraints, nonzeros) at m1=10, m2=20
 CATALOG = {
@@ -29,7 +29,7 @@ def test_catalog_dimensions_exact():
 def test_audit_agrees_with_materialized_dep():
     problem = generate_knapsack(KnapsackGenSpec(6, 8, 5, seed=2, m1=4, m2=6))
     art = build_dep_expectation(problem)
-    assert audit_dimensions(problem) == art.stats
+    assert audit_dimensions(problem) == dep_dimensions(art)
 
 
 def test_spec_validation_and_name():

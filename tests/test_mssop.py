@@ -145,7 +145,7 @@ def test_freight_charged_on_convex_envelope():
     assert sol.objective == pytest.approx(want, abs=1e-6)
     plan = model.decode_plan(art.first_stage_values(sol.x))
     assert plan.orders[0, 0] == pytest.approx(10.0, abs=1e-6)
-    assert plan.freight_by_period(inst)[0] == pytest.approx(
+    assert (inst.freight_cost @ plan.segment_weights)[0] == pytest.approx(
         20.0 * 2200.0 / 70000.0, abs=1e-6)
 
 
@@ -158,8 +158,8 @@ def test_plan_helpers():
     plan = ReplenishmentPlan(orders=orders, setups=setups,
                              segment_flags=np.zeros((7, 2)),
                              segment_weights=z)
-    assert plan.shipped_weight(inst).tolist() == [15.0, 6.0]
-    assert plan.freight_by_period(inst).tolist() == [500.0, 0.0]
+    assert (inst.unit_weight @ plan.orders).tolist() == [15.0, 6.0]
+    assert (inst.freight_cost @ plan.segment_weights).tolist() == [500.0, 0.0]
     assert plan.first_stage_cost(inst) == pytest.approx(3 * 600.0 + 500.0)
 
 

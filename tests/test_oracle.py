@@ -63,12 +63,12 @@ def test_oracle_matches_excess_deps():
     eta = neutral.objective  # a target in the realized cost range
     ee = brute_force_optimum(
         problem, RiskSpec("expected-excess", rho=0.4, eta=eta),
-        excess_on="second_stage", backend=NO_SOLVER)
+        backend=NO_SOLVER)
     assert ee.objective == pytest.approx(
         dep_opt(build_dep_expected_excess(problem, 0.4, eta)), rel=1e-7)
     mod = brute_force_optimum(
         problem, RiskSpec("modified-expected-excess", rho=0.4, eta=eta),
-        excess_on="total", backend=NO_SOLVER)
+        backend=NO_SOLVER)
     assert mod.objective == pytest.approx(
         dep_opt(build_dep_modified_expected_excess(problem, 0.4, eta)),
         rel=1e-7)
