@@ -49,12 +49,14 @@ name the same files.  The script runs every subcommand and every
 ``--method``, hits the node and iteration caps and one usage error,
 replays four manifests, and ends with two faults on problem files that
 ``cli-dump`` writes first (``FAULT_FILES``): an lshaped run whose plan has
-no binary recourse, and scenario probabilities that sum to 0.5.  It
-writes each step's exit code (``raised <Type>`` for a step that raises)
-and printed output, the SHA-256 of every file the steps leave behind, and each
-manifest's ``config``, ``inputs``, ``outputs``, ``checksums`` and
-``exit_status`` (not its wall time).  ``cli-compare`` lists every step and
-file that differs; the exit status is 1 when anything is listed.
+no binary recourse, and scenario probabilities that sum to 0.5.  The model
+refuses to build the latter, so each file is saved with both probabilities
+at 0.5 and its payload then edited.  ``cli-dump`` writes each step's exit
+code (``raised <Type>`` for a step that raises) and printed output, the
+SHA-256 of every file the steps leave behind, and each manifest's
+``config``, ``inputs``, ``outputs``, ``checksums`` and ``exit_status`` (not
+its wall time).  ``cli-compare`` lists every step and file that differs;
+the exit status is 1 when anything is listed.
 """
 import contextlib
 import hashlib
@@ -286,12 +288,18 @@ def _write_fault_files():
     from riskshed.model import Scenario, TwoStageProblem
 
     for name, p in FAULT_FILES.items():
-        scenarios = [Scenario(probability=p, cost=[q], technology=[[1.0], [-1.0]],
+        scenarios = [Scenario(probability=0.5, cost=[q], technology=[[1.0], [-1.0]],
                               recourse=[[2.0], [-2.0]], rhs=[1.0, -1.0])
                      for q in (-1.0, -3.0)]
         fileio.save_problem(name, problem=TwoStageProblem(
             first_stage_cost=[5.0], first_stage_matrix=[[0.0]],
             first_stage_rhs=[-1.0], scenarios=scenarios))
+        with open(name) as fh:
+            doc = json.load(fh)
+        for scenario in doc["payload"]["scenarios"]:
+            scenario["probability"] = p
+        doc["checksum"] = fileio._checksum(doc)
+        fileio._write_json(name, doc)
 
 
 def cli_dump(path):

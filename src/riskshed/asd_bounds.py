@@ -33,14 +33,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import util
 from .backend import MemoBackend, get_backend, optimal
 from .dep import build_dep_expectation
 from .lshaped import (CutPool, OptimalityCut, build_master, cuts_from_duals,
                       lshaped_solve, solve_subproblems, THETA_FLOOR,
                       THETA_FLOOR_MARGIN)
 from .model import (RiskMeasure, RiskSpec, TwoStageProblem, ValidationError,
-                    evaluate_solution, require_valid)
+                    evaluate_solution)
 
 MEMBERSHIP_TOL = 1e-9
 STALL_LIMIT = 3                         # equal-mass ties before halving xi
@@ -87,9 +86,6 @@ class AsdBoundsState:
     @property
     def gap(self):
         return self.upper - self.lower
-
-    def gap_percent(self):
-        return util.gap_percent(self.lower, self.upper)
 
 
 def _asd_value(problem, x, rho, backend, threads):
@@ -139,7 +135,6 @@ def excess_mean_cut(problem, rho, x, eta, backend=None, threads=None):
 
 def initialize(problem: TwoStageProblem, config: AsdBoundsConfig) -> AsdBoundsState:
     """Risk-neutral solve, target seeding, and first bound pair."""
-    require_valid(problem)
     backend = get_backend(config.backend)
     neutral = optimal(backend.solve_mip(build_dep_expectation(problem).program),
                       "risk-neutral extensive form")

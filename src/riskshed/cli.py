@@ -311,10 +311,7 @@ def run_solve(cfg):
     _validate_solve(cfg)
     method = METHODS[cfg["method"]]
     pf = fileio.load_problem(cfg["in"])
-    try:
-        backend = get_backend(cfg["backend"])
-    except ValueError as exc:     # a manifest naming a removed backend
-        raise UsageError(str(exc)) from None
+    backend = get_backend(cfg["backend"])
     cfg["backend"] = backend.name
     cfg["history"] = _history_path(cfg["out"])
     try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import LinearProgram, MixedBinaryProgram
-from .model import TwoStageProblem, require_valid
+from .model import TwoStageProblem
 
 
 @dataclass
@@ -106,7 +106,6 @@ class _Form:
 
 def build_dep_expectation(problem: TwoStageProblem) -> DepArtifact:
     """Risk-neutral extensive form: min c'x + sum_w p_w q_w'y_w."""
-    require_valid(problem)
     form = _Form(problem)
     form.obj[:problem.n1] = problem.first_stage_cost
     for k, s in enumerate(problem.scenarios):
@@ -122,7 +121,6 @@ def build_dep_expected_excess(problem, rho, eta) -> DepArtifact:
     cost and the first-stage cost enters the risk term once, the reading
     ``model.risk_functional`` gives this measure.
     """
-    require_valid(problem)
     S = problem.num_scenarios
     form = _Form(problem, S, S)
     form.obj[:problem.n1] = (1.0 + rho) * problem.first_stage_cost
@@ -136,7 +134,6 @@ def build_dep_modified_expected_excess(problem, rho, eta) -> DepArtifact:
     Objective (1-rho) c'x + sum p [(1-rho) q'y + rho v] with rows
     c'x + q_w'y_w - v_w <= eta and v_w >= 0.
     """
-    require_valid(problem)
     S = problem.num_scenarios
     c = problem.first_stage_cost
     form = _Form(problem, S, S)
@@ -163,7 +160,6 @@ def build_dep_absolute_semideviation(problem, rho,
     sum_j p_j q_j'y_j = m and each mean link reads m <= v_w
     instead (same optimum, fewer dense rows).
     """
-    require_valid(problem)
     S = problem.num_scenarios
     p = problem.probabilities
     form = _Form(problem, 2 * S + collapse_mean_row, S, v_free=True,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .backend import (Backend, LinearProgram, MixedBinaryProgram, get_backend,
                       optimal)
-from .model import TwoStageProblem, require_valid
+from .model import TwoStageProblem
 from .util import map_ordered
 
 THETA_FLOOR = -1e9
@@ -206,7 +206,6 @@ def lshaped_solve(problem: TwoStageProblem, rho: float, eta: float,
     a floor still active after convergence indicates too few cuts and is
     reported as a failure rather than silently accepted.
     """
-    require_valid(problem)
     backend = get_backend(backend)
     pool = pool if pool is not None else CutPool()
     history = []

@@ -16,7 +16,7 @@ import enum
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,12 +132,20 @@ class Scenario:
 
 @dataclass
 class TwoStageProblem:
-    """Stochastic program data in canonical >= form."""
+    """Stochastic program data in canonical >= form.
+
+    Building one checks the contract and raises ValidationError naming each
+    violation: n1 >= 1, A is (m1, n1), flag vectors match their variable
+    counts, at least one scenario, each with the first one's (m2, n2) and
+    with T (m2, n1) and W (m2, n2), all data finite, and probabilities
+    non-negative and summing to 1 within PROBABILITY_TOL.  A sum inside that
+    window is rescaled to 1 with a warning.
+    """
 
     first_stage_cost: np.ndarray      # c, (n1,)
     first_stage_matrix: np.ndarray    # A, (m1, n1), rows A x >= b
     first_stage_rhs: np.ndarray       # b, (m1,)
-    scenarios: list[Scenario] = field(default_factory=list)
+    scenarios: list[Scenario]
     first_stage_integrality: np.ndarray = None  # bool, (n1,); default all binary
     name: str = ""
 
@@ -149,15 +157,48 @@ class TwoStageProblem:
             self.first_stage_integrality = np.ones(self.n1, dtype=bool)
         else:
             self.first_stage_integrality = np.asarray(self.first_stage_integrality, dtype=bool)
-        if self.scenarios:
-            total = float(sum(s.probability for s in self.scenarios))
-            if abs(total - 1.0) > PROBABILITY_EXACT_TOL and abs(total - 1.0) <= PROBABILITY_TOL:
-                warnings.warn(
-                    f"scenario probabilities sum to {total!r}; renormalizing",
-                    stacklevel=2,
-                )
-                for s in self.scenarios:
-                    s.probability = float(s.probability) / total
+        issues = []
+        n1, A, b = self.n1, self.first_stage_matrix, self.first_stage_rhs
+        if n1 == 0:
+            issues.append("first stage has no variables")
+        if A.shape != (b.shape[0], n1):
+            issues.append(f"first-stage matrix shape {A.shape} != ({b.shape[0]}, {n1})")
+        for arr, label in ((self.first_stage_cost, "first-stage cost"),
+                           (A, "first-stage matrix"), (b, "first-stage rhs")):
+            if not np.all(np.isfinite(arr)):
+                issues.append(f"{label} contains non-finite entries")
+        if self.first_stage_integrality.shape != (n1,):
+            issues.append("first-stage integrality flag length mismatch")
+        if not self.scenarios:
+            issues.append("at least one scenario is required")
+        for k, s in enumerate(self.scenarios):
+            m2, n2 = s.m2, s.n2
+            if s.probability < 0:
+                issues.append(f"scenario {k}: negative probability {s.probability}")
+            if (m2, n2) != (self.m2, self.n2):
+                issues.append(f"scenario {k}: inconsistent dimensions "
+                              f"({m2}x{n2} vs {self.m2}x{self.n2})")
+                continue
+            if s.technology.shape != (m2, n1):
+                issues.append(f"scenario {k}: technology shape {s.technology.shape} != ({m2}, {n1})")
+            if s.recourse.shape != (m2, n2):
+                issues.append(f"scenario {k}: recourse shape {s.recourse.shape} != ({m2}, {n2})")
+            if s.integrality.shape != (n2,):
+                issues.append(f"scenario {k}: integrality flag length mismatch")
+            for arr, label in ((s.cost, "cost"), (s.technology, "technology"),
+                               (s.recourse, "recourse"), (s.rhs, "rhs")):
+                if not np.all(np.isfinite(arr)):
+                    issues.append(f"scenario {k}: {label} contains non-finite entries")
+        total = float(sum(s.probability for s in self.scenarios))
+        if self.scenarios and abs(total - 1.0) > PROBABILITY_TOL:
+            issues.append(f"scenario probabilities sum to {total!r}, outside the 1e-6 window")
+        if issues:
+            raise ValidationError("; ".join(issues))
+        if abs(total - 1.0) > PROBABILITY_EXACT_TOL:
+            warnings.warn(f"scenario probabilities sum to {total!r}; renormalizing",
+                          stacklevel=2)
+            for s in self.scenarios:
+                s.probability = float(s.probability) / total
 
     @property
     def n1(self):
@@ -169,11 +210,11 @@ class TwoStageProblem:
 
     @property
     def n2(self):
-        return self.scenarios[0].n2 if self.scenarios else 0
+        return self.scenarios[0].n2
 
     @property
     def m2(self):
-        return self.scenarios[0].m2 if self.scenarios else 0
+        return self.scenarios[0].m2
 
     @property
     def num_scenarios(self):
@@ -185,57 +226,7 @@ class TwoStageProblem:
 
     def first_stage_feasible(self, x, tol=FEASIBILITY_TOL):
         x = np.asarray(x, dtype=float)
-        if self.m1 == 0:
-            return True
         return bool(np.all(self.first_stage_matrix @ x >= self.first_stage_rhs - tol))
-
-
-def validate(problem: TwoStageProblem) -> list[str]:
-    """Return a list of human-readable contract violations (empty if clean)."""
-    issues = []
-    n1 = problem.n1
-    if n1 == 0:
-        issues.append("first stage has no variables")
-    A, b = problem.first_stage_matrix, problem.first_stage_rhs
-    if A.shape != (b.shape[0], n1):
-        issues.append(f"first-stage matrix shape {A.shape} != ({b.shape[0]}, {n1})")
-    for arr, label in ((problem.first_stage_cost, "first-stage cost"),
-                       (A, "first-stage matrix"), (b, "first-stage rhs")):
-        if not np.all(np.isfinite(arr)):
-            issues.append(f"{label} contains non-finite entries")
-    if problem.first_stage_integrality.shape != (n1,):
-        issues.append("first-stage integrality flag length mismatch")
-    if not problem.scenarios:
-        issues.append("at least one scenario is required")
-        return issues
-    n2 = problem.scenarios[0].n2
-    m2 = problem.scenarios[0].m2
-    for k, s in enumerate(problem.scenarios):
-        if s.probability < 0:
-            issues.append(f"scenario {k}: negative probability {s.probability}")
-        if s.n2 != n2 or s.m2 != m2:
-            issues.append(f"scenario {k}: inconsistent dimensions ({s.m2}x{s.n2} vs {m2}x{n2})")
-            continue
-        if s.technology.shape != (m2, n1):
-            issues.append(f"scenario {k}: technology shape {s.technology.shape} != ({m2}, {n1})")
-        if s.recourse.shape != (m2, n2):
-            issues.append(f"scenario {k}: recourse shape {s.recourse.shape} != ({m2}, {n2})")
-        if s.integrality.shape != (n2,):
-            issues.append(f"scenario {k}: integrality flag length mismatch")
-        for arr, label in ((s.cost, "cost"), (s.technology, "technology"),
-                           (s.recourse, "recourse"), (s.rhs, "rhs")):
-            if not np.all(np.isfinite(arr)):
-                issues.append(f"scenario {k}: {label} contains non-finite entries")
-    total = float(sum(s.probability for s in problem.scenarios))
-    if abs(total - 1.0) > PROBABILITY_TOL:
-        issues.append(f"scenario probabilities sum to {total!r}, outside the 1e-6 window")
-    return issues
-
-
-def require_valid(problem: TwoStageProblem):
-    issues = validate(problem)
-    if issues:
-        raise ValidationError("; ".join(issues))
 
 
 # ---------------------------------------------------------------------------

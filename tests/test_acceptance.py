@@ -173,7 +173,7 @@ def test_criterion_04_bounding_driver_sandwich():
                     and all(a >= b - 1e-9 for a, b in zip(uppers, uppers[1:])))
         if not (sandwich and monotone):
             bad.append(seed)
-        if state.gap_percent() <= 5.0:
+        if util.gap_percent(state.lower, state.upper) <= 5.0:
             closed += 1
     elapsed = time.perf_counter() - start
     verdict(4, not bad and closed >= 10 and elapsed < 600.0,

@@ -295,6 +295,15 @@ def test_infeasible_model_exits_3(tmp_path):
     assert fileio.load_result(out)["status"] == "infeasible"
 
 
+def rewrite(path, edit):
+    """Apply edit to the JSON document at path and refresh its checksum."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    doc["checksum"] = fileio._checksum(doc)
+    fileio._write_json(path, doc)
+
+
 def two_scenario_problem(probability):
     # x + 2y = 1 in both scenarios: x = 1 is the one binary plan with
     # recourse, but the relaxed recourse also admits x = 0 with y = 1/2.
@@ -315,8 +324,14 @@ def two_scenario_problem(probability):
 ], ids=["lshaped-no-recourse", "probabilities-half"])
 def test_solve_faults_exit_by_type(tmp_path, capsys, probability, argv, code,
                                    message):
+    # a problem off the contract cannot be built, so its file is edited
     path = str(tmp_path / "fault.sp2.json")
-    fileio.save_problem(path, problem=two_scenario_problem(probability))
+    fileio.save_problem(path, problem=two_scenario_problem(0.5))
+
+    def set_probabilities(doc):
+        for scenario in doc["payload"]["scenarios"]:
+            scenario["probability"] = probability
+    rewrite(path, set_probabilities)
     out = tmp_path / "fault.result.json"
     assert run("solve", "--in", path, *argv, "--out", str(out)) == code
     assert message in capsys.readouterr().err
@@ -503,6 +518,90 @@ def test_simulate_rejects_knapsack_kind(knap_file, tmp_path):
                "--backend", "scipy", "--out", plan) == 0
     assert run("simulate", "--in", knap_file, "--plan", plan,
                "--out", str(tmp_path / "s.csv")) == 2
+
+
+@pytest.mark.parametrize("x, message", [
+    (None, "plan result carries no first-stage vector"),
+    ([0.0, 1.0, 0.0], "plan length 3 does not match"),
+], ids=["no-vector", "wrong-length"])
+def test_simulate_rejects_a_broken_plan(mssop_file, tmp_path, capsys, x,
+                                        message):
+    plan = str(tmp_path / "plan.result.json")
+    fileio.save_result(plan, method="dep", risk={"measure": "expectation"},
+                       x=x, instance_checksum=fileio.load_problem(mssop_file).checksum)
+    sim = tmp_path / "s.sim.csv"
+    assert run("simulate", "--in", mssop_file, "--plan", plan,
+               "--out", str(sim)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not sim.exists() and not os.path.exists(f"{sim}{cli.MANIFEST_SUFFIX}")
+
+
+def test_simulate_labels_a_risk_averse_plan_by_measure_and_rho(mssop_file,
+                                                               tmp_path):
+    plan = str(tmp_path / "asd.result.json")
+    assert run("solve", "--in", mssop_file, "--risk", "asd", "--rho", "0.5",
+               "--mip-gap", "1e-4", "--out", plan) == 0
+    sim = str(tmp_path / "asd.sim.csv")
+    assert run("simulate", "--in", mssop_file, "--plan", plan, "--reps", "2",
+               "--out", sim) == 0
+    with open(sim, newline="") as fh:
+        assert {row["policy"] for row in csv.DictReader(fh)} == {"asd-0.5"}
+    assert cli.load_manifest(sim + cli.MANIFEST_SUFFIX)["config"]["label"] == "asd-0.5"
+
+
+def _broken_input(case, knap_file, mssop_file, tmp_path):
+    """Write the broken input that case names; return the argv reading it."""
+    solve = ["solve", "--risk", "neutral", "--out",
+             str(tmp_path / "x.result.json"), "--in"]
+    manifest = tmp_path / "m.manifest.json"
+    rerun = ["rerun", "--out-dir", str(tmp_path / "replay"), "--manifest",
+             str(manifest)]
+    table = tmp_path / "t.sim.csv"
+    report = ["report", "--out", str(tmp_path / "agg.csv"), "--inputs",
+              str(table)]
+    if case == "kind-lp":
+        rewrite(knap_file, lambda doc: doc.update(kind="lp"))
+        return solve + [knap_file]
+    if case == "no-payload":
+        rewrite(knap_file, lambda doc: doc.pop("payload"))
+        return solve + [knap_file]
+    if case == "no-demand":
+        rewrite(mssop_file, lambda doc: doc["payload"].pop("demand"))
+        return solve + [mssop_file]
+    if case.startswith("rerun"):
+        manifest.write_text({
+            "rerun-bad-json": "{",
+            "rerun-no-config": json.dumps({"format": cli.MANIFEST_FORMAT,
+                                           "subcommand": "solve"}),
+            "rerun-of-rerun": json.dumps({"format": cli.MANIFEST_FORMAT,
+                                          "subcommand": "rerun", "config": {}}),
+        }[case])
+        return rerun
+    if case == "report-mean-rows-only":
+        table.write_text(",".join(fileio.SIMULATION_FIELDS)
+                         + "\nneutral,mean,0.0,0.0,0.0,0.0\n")
+    return report
+
+
+@pytest.mark.parametrize("case, message", [
+    ("kind-lp", "unknown kind 'lp'"),
+    ("no-payload", "missing field 'payload'"),
+    ("no-demand", "instance payload missing field 'demand'"),
+    ("rerun-bad-json", "unparseable JSON"),
+    ("rerun-no-config", "missing field 'config'"),
+    ("rerun-of-rerun", "cannot rerun subcommand 'rerun'"),
+    ("report-missing-file", "No such file or directory"),
+    ("report-mean-rows-only", "no simulation rows in the inputs"),
+])
+def test_broken_input_files_exit_2_and_write_nothing(
+        knap_file, mssop_file, tmp_path, capsys, case, message):
+    argv = _broken_input(case, knap_file, mssop_file, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_report_rejects_foreign_csv(tmp_path):

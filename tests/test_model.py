@@ -1,5 +1,8 @@
-"""Core model layer: risk functionals, scenario evaluation, validation."""
+"""Core model layer: risk functionals, scenario evaluation, and the
+contract every TwoStageProblem is checked against when it is built."""
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from riskshed.model import (
     MAX_ENUMERATED_N2, InfeasibleSecondStage, RiskMeasure, RiskSpec, Scenario,
     TwoStageProblem, ValidationError, evaluate_objective,
     evaluate_scenario_cost, evaluate_solution, risk_functional,
-    scenario_costs, second_stage_program, validate,
+    scenario_costs, second_stage_program,
 )
 
 from conftest import NoSolver, covering_problem, greedy_feasible_point
@@ -155,7 +158,61 @@ def test_validate_flags_bad_probabilities():
     rng = np.random.default_rng(10)
     problem = covering_problem(rng)
     problem.scenarios[0].probability = 0.9  # sum now off
-    assert any("probabilit" in msg for msg in validate(problem))
+    with pytest.raises(ValidationError, match="probabilit"):
+        dataclasses.replace(problem)    # a new problem on the same scenarios
+
+
+def scenario(**change):
+    """A one-row scenario with two recourse columns over two first-stage
+    columns, with the fields in change replaced."""
+    return Scenario(**{**dict(probability=0.5, cost=[1.0, 2.0],
+                              technology=[[1.0, 0.0]], recourse=[[1.0, 1.0]],
+                              rhs=[1.0]), **change})
+
+
+def one_row_problem(first=(), second=()):
+    """Two-scenario problem with the problem fields in first and the second
+    scenario's fields in second replaced."""
+    data = dict(first_stage_cost=[1.0, 1.0], first_stage_matrix=[[1.0, 1.0]],
+                first_stage_rhs=[1.0], scenarios=[scenario(), scenario(**dict(second))])
+    return TwoStageProblem(**{**data, **dict(first)})
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ({"first_stage_cost": [], "first_stage_matrix": np.zeros((1, 0))}, {},
+     "first stage has no variables"),
+    ({"first_stage_matrix": [[1.0, 1.0, 1.0]]}, {},
+     "first-stage matrix shape (1, 3) != (1, 2)"),
+    ({"first_stage_rhs": [np.inf]}, {},
+     "first-stage rhs contains non-finite entries"),
+    ({"first_stage_integrality": [True]}, {},
+     "first-stage integrality flag length mismatch"),
+    ({"scenarios": []}, {}, "at least one scenario is required"),
+    ({}, {"probability": -0.5}, "scenario 1: negative probability -0.5"),
+    ({}, {"cost": [1.0], "recourse": [[1.0]]},
+     "scenario 1: inconsistent dimensions (1x1 vs 1x2)"),
+    ({}, {"technology": np.zeros((1, 3))},
+     "scenario 1: technology shape (1, 3) != (1, 2)"),
+    ({}, {"recourse": np.zeros((1, 3))},
+     "scenario 1: recourse shape (1, 3) != (1, 2)"),
+    ({}, {"integrality": [True]}, "scenario 1: integrality flag length mismatch"),
+    ({}, {"cost": [1.0, np.nan]}, "scenario 1: cost contains non-finite entries"),
+    ({}, {"probability": 0.25},
+     "scenario probabilities sum to 0.75, outside the 1e-6 window"),
+], ids=["no-variables", "matrix-shape", "first-stage-non-finite",
+        "first-stage-flags", "no-scenario", "negative-probability",
+        "inconsistent-dimensions", "technology-shape", "recourse-shape",
+        "scenario-flags", "scenario-non-finite", "probability-sum"])
+def test_construction_rejects_each_contract_violation(first, second, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        one_row_problem(first, second)
+
+
+def test_construction_rescales_probabilities_inside_the_window():
+    with pytest.warns(UserWarning, match="renormalizing"):
+        problem = one_row_problem(second={"probability": 0.5 + 5e-7})
+    assert problem.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
+    assert problem.probabilities[1] > problem.probabilities[0]
 
 
 def assert_enumeration_matches_highs(problem):
