@@ -10,9 +10,14 @@ writes on a fixed script.
 the twenty K.6.6.4 instances of acceptance criterion 4 (seeds 0-19, m1=3,
 m2=4) and writes, per instance, the status, both bounds, ``x_best``, the
 final target eta, every history column, the backend's solve counters and
-the pool size.  Floats are stored with ``float.hex``, so ``compare``
-checks them bit for bit.  ``compare`` reports every field that differs,
-and the two sides' counters and pool sizes.  Extra arguments name history columns to leave out, such as
+the pool size.  It also runs ``lshaped_solve`` (rho ``LSHAPED_RHO``, eta
+``LSHAPED_ETA``) single-cut and multicut on each instance, and records,
+per run, a digest over every program the run sends to the backend, in
+call order (``riskshed.backend.memo._digest`` of each, taken by a
+recording ``ScipyBackend``).  Floats are stored with ``float.hex``, so
+``compare`` checks them bit for bit.  ``compare`` reports every field
+that differs, every run whose program digest differs, and the two sides'
+counters and pool sizes.  Extra arguments name history columns to leave out, such as
 ``wall_time``, which older trees wrote.  The exit status is 1 when
 anything compared differs.
 
@@ -71,6 +76,7 @@ import numpy as np
 
 SEEDS = range(20)
 DIGEST_ETA = 12.5       # any nonzero target: it only has to reach the rhs
+LSHAPED_RHO, LSHAPED_ETA = 0.4, -900.0
 
 
 def _hex(value):
@@ -81,24 +87,55 @@ def _hex(value):
     return value
 
 
+def _recording_backend():
+    """A ScipyBackend that folds every program it is sent, in call order,
+    into one BLAKE2b digest (``riskshed.backend.memo._digest`` per call)."""
+    from riskshed.backend import DEFAULT_NODE_CAP, ScipyBackend
+    from riskshed.backend.memo import _digest
+
+    class Recording(ScipyBackend):
+        def __init__(self):
+            super().__init__()
+            self.programs = hashlib.blake2b(digest_size=32)
+
+        def solve_lp(self, lp):
+            self.programs.update(_digest(lp))
+            return super().solve_lp(lp)
+
+        def solve_mip(self, mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP):
+            self.programs.update(_digest(mip.lp, mip.binary,
+                                         (float(gap_tol), int(node_cap))))
+            return super().solve_mip(mip, gap_tol=gap_tol, node_cap=node_cap)
+
+    return Recording()
+
+
 def dump(path):
     from riskshed.asd_bounds import AsdBoundsConfig, rm_asd_solve
-    from riskshed.backend import ScipyBackend
     from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
+    from riskshed.lshaped import lshaped_solve
 
     records = []
     start = time.perf_counter()
     for seed in SEEDS:
         problem = generate_knapsack(KnapsackGenSpec(6, 6, 4, seed=seed, m1=3, m2=4))
-        backend = ScipyBackend()
+        backend = _recording_backend()
         state = rm_asd_solve(problem, AsdBoundsConfig(rho=0.5, max_iters=15,
                                                       backend=backend))
+        programs = {"rm-asd": backend.programs.hexdigest()}
+        for multicut in (False, True):
+            recording = _recording_backend()
+            lshaped_solve(problem, LSHAPED_RHO, LSHAPED_ETA, backend=recording,
+                          multicut=multicut)
+            programs["lshaped-multicut" if multicut else "lshaped"] = (
+                recording.programs.hexdigest())
         records.append({
             "seed": seed, "status": state.status, "lower": _hex(state.lower),
             "upper": _hex(state.upper), "x_best": _hex(state.x_best),
             "eta": _hex(state.eta),
             "history": [{k: _hex(v) for k, v in row.items()} for row in state.history],
-            "counters": backend.stats.as_dict(), "pool": len(state.pool)})
+            "counters": backend.stats.as_dict(), "pool": len(state.pool),
+            "programs": programs})
     with open(path, "w") as fh:
         json.dump(records, fh, indent=1)
     print(f"{len(records)} instances in {time.perf_counter() - start:.1f} s -> {path}")
@@ -111,6 +148,10 @@ def compare(path_a, path_b, ignore=()):
     differ = 0
     for ra, rb in zip(a, b):
         found = [k for k in ("status", "lower", "upper", "x_best", "eta") if ra[k] != rb[k]]
+        programs_a, programs_b = ra.get("programs", {}), rb.get("programs", {})
+        found += [f"programs sent ({name})"
+                  for name in sorted(programs_a.keys() | programs_b.keys())
+                  if programs_a.get(name) != programs_b.get(name)]
         if len(ra["history"]) != len(rb["history"]):
             found.append(f"history length {len(ra['history'])} != {len(rb['history'])}")
         for i, (ha, hb) in enumerate(zip(ra["history"], rb["history"])):

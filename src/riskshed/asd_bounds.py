@@ -106,12 +106,8 @@ def excess_mean_cut(problem, rho, x, eta, backend=None, threads=None):
     backend = get_backend(backend)
     subs = solve_subproblems(problem, rho, x, eta, backend, threads)
     p = problem.probabilities
-    values = np.array([s[0] for s in subs])
+    values, coefs, rhs0, etas = (np.array(column) for column in zip(*subs))
     q_bar = float(p @ values)
-
-    coefs = np.array([meta["x_block"].T @ duals for _, duals, meta in subs])
-    rhs0 = np.array([float(duals @ meta["rhs_base"]) for _, duals, meta in subs])
-    etas = np.array([float(duals[meta["eta_row"]]) for _, duals, meta in subs])
     mean_coef = p @ coefs
     mean_rhs = float(p @ rhs0)
     mean_eta = float(p @ etas)

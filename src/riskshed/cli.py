@@ -2,7 +2,7 @@
 
 Every subcommand resolves its arguments into a plain config dict, hands it
 to a runner, and writes a run manifest next to the primary output.  The
-manifest stores the fully materialized config, so ``rerun`` can replay any
+manifest stores the fully resolved config, so ``rerun`` can replay any
 run with its outputs redirected into a fresh directory; result files from
 a replay are byte-identical to the originals.
 

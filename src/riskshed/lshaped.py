@@ -75,15 +75,6 @@ class CutPool:
     def __len__(self):
         return len(self.cuts)
 
-    def materialize(self, eta: float):
-        """(coef matrix, rhs vector, scenario slots) at the given target."""
-        if not self.cuts:
-            return np.zeros((0, 0)), np.zeros(0), []
-        coef = np.array([c.coef for c in self.cuts])
-        rhs = np.array([c.rhs_at(eta) for c in self.cuts])
-        slots = [c.scenario for c in self.cuts]
-        return coef, rhs, slots
-
 
 def build_subproblem_lp(problem: TwoStageProblem, rho: float, index: int,
                         x, eta: float):
@@ -124,24 +115,27 @@ def build_subproblem_lp(problem: TwoStageProblem, rho: float, index: int,
 
 
 def solve_subproblems(problem, rho, x, eta, backend: Backend, threads=None):
-    """Solve every scenario LP; returns list of (value, duals, meta)."""
+    """Per scenario, (value, coef, rhs_base, eta_coef): the LP value and its
+    dual linearization phi(x', eta') >= rhs_base - eta_coef*eta' - coef @ x',
+    valid at every (x', eta') and exact at the given (x, eta)."""
 
     def one(index):
         lp, meta = build_subproblem_lp(problem, rho, index, x, eta)
         sol = optimal(backend.solve_lp(lp), f"scenario {index} subproblem")
-        return sol.objective, sol.duals, meta
+        duals = sol.duals
+        return (sol.objective, meta["x_block"].T @ duals,
+                float(duals @ meta["rhs_base"]), float(duals[meta["eta_row"]]))
 
     return map_ordered(one, range(problem.num_scenarios), threads=threads)
 
 
 def cuts_from_duals(problem, sub_results, multicut=False):
-    """One cut per scenario, or their sum (in scenario order) as one cut."""
+    """Probability-weighted cuts from solve_subproblems' linearizations:
+    one per scenario, or their sum (in scenario order) as one cut."""
     p = problem.probabilities
-    made = [OptimalityCut(coef=p[k] * (meta["x_block"].T @ duals),
-                          rhs_base=p[k] * float(duals @ meta["rhs_base"]),
-                          eta_coef=p[k] * float(duals[meta["eta_row"]]),
-                          scenario=k)
-            for k, (_, duals, meta) in enumerate(sub_results)]
+    made = [OptimalityCut(coef=p[k] * coef, rhs_base=p[k] * rhs_base,
+                          eta_coef=p[k] * eta_coef, scenario=k)
+            for k, (_, coef, rhs_base, eta_coef) in enumerate(sub_results)]
     if multicut:
         return made
     return [OptimalityCut(coef=sum((c.coef for c in made), np.zeros(problem.n1)),
@@ -155,19 +149,17 @@ def build_master(problem, rho, pool: CutPool, eta, multicut=False):
     S = problem.num_scenarios
     nt = S if multicut else 1
     m1 = problem.m1
-    coef, rhs, slots = pool.materialize(eta)
-    ncuts = len(pool)
+    cuts = pool.cuts
+    ncuts = len(cuts)
 
     ncols = n1 + nt
     lhs = np.zeros((m1 + ncuts, ncols))
     lhs[:m1, :n1] = problem.first_stage_matrix
-    allrhs = np.zeros(m1 + ncuts)
-    allrhs[:m1] = problem.first_stage_rhs
-    for i in range(ncuts):
-        lhs[m1 + i, :n1] = coef[i]
-        slot = slots[i] if multicut else None
-        lhs[m1 + i, n1 + (slot or 0)] = 1.0
-        allrhs[m1 + i] = rhs[i]
+    lhs[m1:, :n1] = np.reshape([c.coef for c in cuts], (ncuts, n1))
+    slots = [(c.scenario or 0) if multicut else 0 for c in cuts]
+    lhs[m1 + np.arange(ncuts), n1 + np.array(slots, dtype=int)] = 1.0
+    allrhs = np.concatenate([problem.first_stage_rhs,
+                             [c.rhs_at(eta) for c in cuts]])
     senses = [">="] * (m1 + ncuts)
 
     obj = np.zeros(ncols)

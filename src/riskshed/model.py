@@ -138,8 +138,8 @@ class TwoStageProblem:
     violation: n1 >= 1, A is (m1, n1), flag vectors match their variable
     counts, at least one scenario, each with the first one's (m2, n2) and
     with T (m2, n1) and W (m2, n2), all data finite, and probabilities
-    non-negative and summing to 1 within PROBABILITY_TOL.  A sum inside that
-    window is rescaled to 1 with a warning.
+    finite, non-negative and summing to 1 within PROBABILITY_TOL.  A sum
+    inside that window is rescaled to 1 with a warning.
     """
 
     first_stage_cost: np.ndarray      # c, (n1,)
@@ -173,7 +173,9 @@ class TwoStageProblem:
             issues.append("at least one scenario is required")
         for k, s in enumerate(self.scenarios):
             m2, n2 = s.m2, s.n2
-            if s.probability < 0:
+            if not np.isfinite(s.probability):
+                issues.append(f"scenario {k}: probability {s.probability} is not finite")
+            elif s.probability < 0:
                 issues.append(f"scenario {k}: negative probability {s.probability}")
             if (m2, n2) != (self.m2, self.n2):
                 issues.append(f"scenario {k}: inconsistent dimensions "

@@ -78,6 +78,15 @@ def svc_problem(seed):
         first_stage_integrality=np.ones(5, bool), name=f"svc.{seed}")
 
 
+def unbounded_recourse_problem():
+    """One scenario whose continuous recourse y2 (cost -1) has no upper
+    bound and no row: every first stage leaves the recourse unbounded."""
+    s = Scenario(probability=1.0, cost=[1.0, -1.0], technology=[[0.0]],
+                 recourse=[[1.0, 0.0]], rhs=[0.0], integrality=[True, False])
+    return TwoStageProblem(first_stage_cost=[0.0], first_stage_matrix=[[1.0]],
+                           first_stage_rhs=[0.0], scenarios=[s])
+
+
 def greedy_feasible_point(problem):
     """Deterministic nonzero binary x: flip coordinates while feasible."""
     x = np.zeros(problem.n1)

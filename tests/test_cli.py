@@ -19,6 +19,8 @@ from riskshed.model import (RiskMeasure, RiskSpec, Scenario, TwoStageProblem,
                             evaluate_objective)
 from riskshed.oracle import brute_force_optimum
 
+from conftest import unbounded_recourse_problem
+
 
 def run(*argv):
     return cli.main(list(argv))
@@ -296,12 +298,16 @@ def test_infeasible_model_exits_3(tmp_path):
 
 
 def rewrite(path, edit):
-    """Apply edit to the JSON document at path and refresh its checksum."""
+    """Apply edit to the JSON document at path and refresh its checksum.
+
+    Plain json.dump, as fileio's strict writer refuses the NaN a broken
+    file may carry."""
     with open(path) as fh:
         doc = json.load(fh)
     edit(doc)
     doc["checksum"] = fileio._checksum(doc)
-    fileio._write_json(path, doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
 
 
 def two_scenario_problem(probability):
@@ -321,7 +327,9 @@ def two_scenario_problem(probability):
     (0.5, ["--risk", "mod-ee", "--rho", "0.5", "--eta", "0", "--method",
            "lshaped"], 3, "error: scenario 0 has no feasible recourse at x=[0.0]"),
     (0.25, ["--risk", "neutral"], 2, "error: scenario probabilities sum to 0.5"),
-], ids=["lshaped-no-recourse", "probabilities-half"])
+    (float("nan"), ["--risk", "neutral"], 2,
+     "error: scenario 0: probability nan is not finite"),
+], ids=["lshaped-no-recourse", "probabilities-half", "probability-nan"])
 def test_solve_faults_exit_by_type(tmp_path, capsys, probability, argv, code,
                                    message):
     # a problem off the contract cannot be built, so its file is edited
@@ -341,6 +349,23 @@ def test_solve_faults_exit_by_type(tmp_path, capsys, probability, argv, code,
     else:
         assert fileio.load_result(str(out))["status"] == "infeasible"
         assert cli.load_manifest(manifest)["exit_status"] == code
+
+
+def test_unbounded_recourse_exits_3(tmp_path):
+    path = str(tmp_path / "unbounded.sp2.json")
+    fileio.save_problem(path, problem=unbounded_recourse_problem())
+    out = str(tmp_path / "unbounded.result.json")
+    assert run("solve", "--in", path, "--risk", "neutral", "--out", out) == 3
+    assert fileio.load_result(out)["status"] == "unbounded"
+    assert cli.load_manifest(out + cli.MANIFEST_SUFFIX)["exit_status"] == 3
+
+
+def test_solve_out_without_result_suffix_keeps_the_whole_name(knap_file, tmp_path):
+    out = str(tmp_path / "plan.json")
+    assert run("solve", "--in", knap_file, "--risk", "neutral", "--out", out) == 0
+    history = out + fileio.HISTORY_SUFFIX
+    assert os.path.exists(history)
+    assert cli.load_manifest(out + cli.MANIFEST_SUFFIX)["outputs"] == [out, history]
 
 
 @pytest.mark.parametrize("risk, measure", [
@@ -549,6 +574,17 @@ def test_simulate_labels_a_risk_averse_plan_by_measure_and_rho(mssop_file,
     assert cli.load_manifest(sim + cli.MANIFEST_SUFFIX)["config"]["label"] == "asd-0.5"
 
 
+# payload edits that break an ordering problem file, by case
+ORDERING_EDITS = {
+    "no-demand": lambda payload: payload.pop("demand"),
+    "demand-2d": lambda payload: payload.update(demand=payload["demand"][0]),
+    "breakpoints-decrease": lambda payload: payload.update(
+        breakpoint_weight=payload["breakpoint_weight"][::-1]),
+    "freight-decreases": lambda payload: payload.update(
+        freight_cost=payload["freight_cost"][::-1]),
+}
+
+
 def _broken_input(case, knap_file, mssop_file, tmp_path):
     """Write the broken input that case names; return the argv reading it."""
     solve = ["solve", "--risk", "neutral", "--out",
@@ -565,8 +601,8 @@ def _broken_input(case, knap_file, mssop_file, tmp_path):
     if case == "no-payload":
         rewrite(knap_file, lambda doc: doc.pop("payload"))
         return solve + [knap_file]
-    if case == "no-demand":
-        rewrite(mssop_file, lambda doc: doc["payload"].pop("demand"))
+    if case in ORDERING_EDITS:
+        rewrite(mssop_file, lambda doc: ORDERING_EDITS[case](doc["payload"]))
         return solve + [mssop_file]
     if case.startswith("rerun"):
         manifest.write_text({
@@ -587,6 +623,9 @@ def _broken_input(case, knap_file, mssop_file, tmp_path):
     ("kind-lp", "unknown kind 'lp'"),
     ("no-payload", "missing field 'payload'"),
     ("no-demand", "instance payload missing field 'demand'"),
+    ("demand-2d", "demand must be scenario x item x period"),
+    ("breakpoints-decrease", "breakpoint weights must be nondecreasing"),
+    ("freight-decreases", "freight costs must be nondecreasing"),
     ("rerun-bad-json", "unparseable JSON"),
     ("rerun-no-config", "missing field 'config'"),
     ("rerun-of-rerun", "cannot rerun subcommand 'rerun'"),
@@ -767,16 +806,34 @@ def test_two_threads_replay_one_thread(knap_file, tmp_path, method):
     assert results[1] == results[0]
 
 
-def test_cli_solve_writes_nothing_to_stderr(knap_file, tmp_path):
+def python_on_src(*argv):
+    """Run a fresh python with this checkout's src first on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "riskshed", "solve", "--in", knap_file,
-         "--risk", "asd", "--rho", "0.5", "--method", "rm-asd",
-         "--max-iters", "25", "--epsilon", "5.0", "--backend", "scipy",
-         "--out", str(tmp_path / "rm.result.json")],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env)
+
+
+def test_cli_solve_writes_nothing_to_stderr(knap_file, tmp_path):
+    proc = python_on_src(
+        "-m", "riskshed", "solve", "--in", knap_file,
+        "--risk", "asd", "--rho", "0.5", "--method", "rm-asd",
+        "--max-iters", "25", "--epsilon", "5.0", "--backend", "scipy",
+        "--out", str(tmp_path / "rm.result.json"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_highs_console_output_stays_off_stderr():
+    # HiGHS prints a line from this MIP on stdout, through file descriptor
+    # 1, which redirect_stdout cannot catch; stderr must stay empty
+    proc = python_on_src("-c", (
+        "import numpy as np\n"
+        "from riskshed.knapsack import KnapsackGenSpec, generate_knapsack\n"
+        "from riskshed.model import evaluate_scenario_cost\n"
+        "problem = generate_knapsack(KnapsackGenSpec(10, 20, 40, seed=1, m1=10, m2=20))\n"
+        "evaluate_scenario_cost(problem, np.zeros(10), 14)\n"))
     assert proc.returncode == 0
     assert proc.stderr == ""
 

@@ -5,6 +5,7 @@ relaxed, solved whole.  The decomposition must meet that optimum, and its
 cuts must be tight at the generating iterate and remain valid after eta
 rebasing.
 """
+import dataclasses
 import itertools
 import threading
 
@@ -80,6 +81,22 @@ def test_multicut_tight_per_scenario():
         assert abs(cut.rhs_at(-25.0) - cut.coef @ x - piece) < 1e-7
 
 
+def test_subproblems_return_their_linearization():
+    # each scenario's (value, coef, rhs_base, eta_coef) is exact at the
+    # generating (x, eta) and stays at or below the value at another eta
+    rng = np.random.default_rng(221)
+    backend = ScipyBackend()
+    problem = covering_problem(rng, num_scenarios=3)
+    rho, eta, eta2 = 0.4, -25.0, -40.0
+    x = greedy_feasible_point(problem)
+    subs = solve_subproblems(problem, rho, x, eta, backend)
+    later = solve_subproblems(problem, rho, x, eta2, backend)
+    for (value, coef, rhs_base, eta_coef), (value2, *_) in zip(subs, later):
+        tol = 1e-7 * max(1.0, abs(value))
+        assert abs(rhs_base - eta_coef * eta - coef @ x - value) < tol
+        assert rhs_base - eta_coef * eta2 - coef @ x <= value2 + tol
+
+
 def test_cut_valid_after_eta_rebase():
     # duals stay feasible when only the rhs moves, so a cut generated at
     # eta1 must underestimate the recourse at eta2 for every feasible x
@@ -132,6 +149,29 @@ def test_master_includes_cuts_and_floor():
     assert sol.status == "optimal"
     # the only cut forces theta >= -5
     assert sol.x[-1] >= -5.0 - 1e-9
+
+
+def test_multicut_master_rows_hold_each_cut():
+    rng = np.random.default_rng(222)
+    problem = covering_problem(rng, num_scenarios=3)
+    n1, m1 = problem.n1, problem.m1
+    pool = CutPool()
+    for scenario in (2, 0, None, 1):
+        pool.add(OptimalityCut(coef=rng.normal(size=n1), rhs_base=rng.normal(),
+                               eta_coef=rng.uniform(), scenario=scenario))
+    program, nt = build_master(problem, 0.5, pool, eta=-7.0, multicut=True)
+    lp = program.lp
+    assert nt == 3 and lp.num_rows == m1 + 4
+    for i, cut in enumerate(pool.cuts):
+        theta = np.zeros(nt)
+        theta[cut.scenario or 0] = 1.0
+        assert np.array_equal(lp.lhs[m1 + i], np.concatenate([cut.coef, theta]))
+        assert lp.rhs[m1 + i] == cut.rhs_at(-7.0)
+    # no cut and no first-stage row: a master without rows
+    free = dataclasses.replace(problem, first_stage_matrix=np.zeros((0, n1)),
+                               first_stage_rhs=np.zeros(0))
+    program, _ = build_master(free, 0.5, CutPool(), eta=0.0, multicut=True)
+    assert program.lp.lhs.shape == (0, n1 + 3) and program.lp.rhs.shape == (0,)
 
 
 def test_cut_pool_rejects_identical_cuts():

@@ -7,16 +7,17 @@ import re
 import numpy as np
 import pytest
 
-from riskshed.backend import ScipyBackend
+from riskshed.backend import ScipyBackend, SolveFailed
 from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
 from riskshed.model import (
     MAX_ENUMERATED_N2, InfeasibleSecondStage, RiskMeasure, RiskSpec, Scenario,
-    TwoStageProblem, ValidationError, evaluate_objective,
+    TwoStageProblem, UnboundedSecondStage, ValidationError, evaluate_objective,
     evaluate_scenario_cost, evaluate_solution, risk_functional,
     scenario_costs, second_stage_program,
 )
 
-from conftest import NoSolver, covering_problem, greedy_feasible_point
+from conftest import (NoSolver, covering_problem, greedy_feasible_point,
+                      unbounded_recourse_problem)
 
 HIGHS = ScipyBackend()
 NO_SOLVER = NoSolver()
@@ -189,6 +190,7 @@ def one_row_problem(first=(), second=()):
      "first-stage integrality flag length mismatch"),
     ({"scenarios": []}, {}, "at least one scenario is required"),
     ({}, {"probability": -0.5}, "scenario 1: negative probability -0.5"),
+    ({}, {"probability": np.nan}, "scenario 1: probability nan is not finite"),
     ({}, {"cost": [1.0], "recourse": [[1.0]]},
      "scenario 1: inconsistent dimensions (1x1 vs 1x2)"),
     ({}, {"technology": np.zeros((1, 3))},
@@ -200,7 +202,7 @@ def one_row_problem(first=(), second=()):
     ({}, {"probability": 0.25},
      "scenario probabilities sum to 0.75, outside the 1e-6 window"),
 ], ids=["no-variables", "matrix-shape", "first-stage-non-finite",
-        "first-stage-flags", "no-scenario", "negative-probability",
+        "first-stage-flags", "no-scenario", "negative-probability", "nan-probability",
         "inconsistent-dimensions", "technology-shape", "recourse-shape",
         "scenario-flags", "scenario-non-finite", "probability-sum"])
 def test_construction_rejects_each_contract_violation(first, second, message):
@@ -261,6 +263,14 @@ def test_enumerated_recourse_infeasible_like_highs():
                                   backend=NO_SOLVER) == 1.0
     with pytest.raises(InfeasibleSecondStage, match=r"scenario 0 .* x=\[0.0\]"):
         evaluate_scenario_cost(problem, np.zeros(1), 0, backend=NO_SOLVER)
+
+
+def test_unbounded_recourse_raises_a_solve_failure():
+    with pytest.raises(UnboundedSecondStage,
+                       match="scenario 0 recourse is unbounded below") as info:
+        evaluate_scenario_cost(unbounded_recourse_problem(), [0.0], 0)
+    assert isinstance(info.value, SolveFailed)
+    assert info.value.status == "unbounded"
 
 
 def test_small_binary_recourse_skips_the_backend():
