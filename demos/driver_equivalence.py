@@ -52,11 +52,14 @@ the exit status is 1 when any instance is listed.
 temporary directory, with relative paths so that manifests from two trees
 name the same files.  The script runs every subcommand and every
 ``--method``, hits the node and iteration caps and one usage error,
-replays four manifests, and ends with two faults on problem files that
+replays four manifests, and then runs two faults on problem files that
 ``cli-dump`` writes first (``FAULT_FILES``): an lshaped run whose plan has
 no binary recourse, and scenario probabilities that sum to 0.5.  The model
 refuses to build the latter, so each file is saved with both probabilities
-at 0.5 and its payload then edited.  ``cli-dump`` writes each step's exit
+at 0.5 and its payload then edited.  It ends with two reports: one over
+the same simulation table given twice, so that rows under one label merge,
+and one over a table with a non-numeric cell (``FAULT_TABLE``, also
+written first).  ``cli-dump`` writes each step's exit
 code (``raised <Type>`` for a step that raises) and printed output, the
 SHA-256 of every file the steps leave behind, and each manifest's
 ``config``, ``inputs``, ``outputs``, ``checksums`` and ``exit_status`` (not
@@ -317,10 +320,17 @@ CLI_SCRIPT = [
      "--eta", "0", "--method", "lshaped", "--out", "no-recourse.result.json"],
     ["solve", "--in", "half.sp2.json", "--risk", "neutral", "--out",
      "half.result.json"],
+    ["report", "--inputs", "m-neutral.sim.csv", "m-neutral.sim.csv",
+     "--out", "twice.csv"],
+    ["report", "--inputs", "bad.sim.csv", "--out", "bad-summary.csv"],
 ]
 # name -> scenario probability of the two-scenario model x + 2y = 1
 # (x, y binary): x = 0 has no binary recourse, though its relaxation does.
 FAULT_FILES = {"no-recourse.sp2.json": 0.5, "half.sp2.json": 0.25}
+# a simulation table whose one replication row has a non-numeric cell
+FAULT_TABLE = ("bad.sim.csv", "policy,replication,lost_sales_events,"
+               "lost_sales_quantity,recourse_cost,replenishment_cost\n"
+               "neutral,0,1,2.0,abc,4.0\n")
 MANIFEST_FIELDS = ("config", "inputs", "outputs", "checksums", "exit_status")
 
 
@@ -341,6 +351,9 @@ def _write_fault_files():
             scenario["probability"] = p
         doc["checksum"] = fileio._checksum(doc)
         fileio._write_json(name, doc)
+    name, text = FAULT_TABLE
+    with open(name, "w") as fh:
+        fh.write(text)
 
 
 def cli_dump(path):

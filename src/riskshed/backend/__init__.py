@@ -12,16 +12,8 @@ import warnings
 from .memo import MemoBackend
 from .program import (
     DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, Backend,
-    LinearProgram, LpSolution, MipSolution, MixedBinaryProgram,
-    NumericalFailure, SolveFailed, SolveStats, optimal,
+    LinearProgram, MixedBinaryProgram, SolveFailed, optimal,
 )
-
-__all__ = [
-    "Backend", "LinearProgram", "LpSolution", "MixedBinaryProgram",
-    "MipSolution", "NumericalFailure", "SolveFailed", "SolveStats",
-    "ScipyBackend", "MemoBackend", "get_backend", "optimal",
-    "OPTIMAL", "INFEASIBLE", "UNBOUNDED", "NODE_CAP",
-]
 
 # scipy's milp warns on every call that it hands this option to HiGHS
 # verbatim; the scipy backend sets it on purpose (see scipy_backend).

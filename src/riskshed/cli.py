@@ -356,7 +356,7 @@ def run_simulate(cfg):
     x = plan_doc.get("x")
     if x is None:
         raise UsageError("plan result carries no first-stage vector")
-    model = build_mssop_two_stage(pf.instance)
+    model = pf.model
     x = np.asarray(x, dtype=float)
     if x.size != model.problem.n1:
         raise UsageError(f"plan length {x.size} does not match instance "
@@ -368,7 +368,7 @@ def run_simulate(cfg):
         cfg["label"] = (token if token == "neutral"
                         else f"{token}-{risk.get('rho')}")
     plan = model.decode_plan(x)
-    report = simulate_policy(pf.instance, plan, replications=cfg["reps"],
+    report = simulate_policy(model.instance, plan, replications=cfg["reps"],
                              seed=cfg["seed"], label=cfg["label"],
                              zero_demand=cfg["zero_demand"])
     fileio.write_simulation_csv(cfg["out"], [report])
@@ -384,12 +384,27 @@ def run_simulate(cfg):
 
 
 def _read_sim_table(path):
+    """The table's replication rows, each with its four values as floats."""
+    values = fileio.SIMULATION_FIELDS[2:]
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != fileio.SIMULATION_FIELDS:
             raise UsageError(f"{path}: not a simulation table "
                              f"(columns {reader.fieldnames})")
-        return [row for row in reader if row["replication"] != "mean"]
+        for row in reader:
+            if row["replication"] == "mean":
+                continue
+            try:
+                parsed = [float(row[f]) for f in values]
+            except (TypeError, ValueError):      # a missing or non-numeric cell
+                parsed = [math.nan]
+            if not all(map(math.isfinite, parsed)):
+                raise UsageError(f"{path}: line {reader.line_num}: replication "
+                                 "values must be finite numbers")
+            row.update(zip(values, parsed))
+            rows.append(row)
+    return rows
 
 
 def run_report(cfg):
@@ -406,10 +421,10 @@ def run_report(cfg):
         by_policy.setdefault(row["policy"], []).append(row)
     table = []
     for policy, group in by_policy.items():
-        events = np.array([float(r["lost_sales_events"]) for r in group])
-        qty = np.array([float(r["lost_sales_quantity"]) for r in group])
-        rec = np.array([float(r["recourse_cost"]) for r in group])
-        replen = float(group[0]["replenishment_cost"])
+        events = np.array([r["lost_sales_events"] for r in group])
+        qty = np.array([r["lost_sales_quantity"] for r in group])
+        rec = np.array([r["recourse_cost"] for r in group])
+        replen = group[0]["replenishment_cost"]
         table.append({
             "policy": policy, "replications": len(group),
             "mean_lost_sales_events": repr(float(events.mean())),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Scenario, TwoStageProblem
-from .mssop import ARRAY_FIELDS, MssopInstance, build_mssop_two_stage
+from .mssop import ARRAY_FIELDS, MssopInstance, MssopModel, build_mssop_two_stage
 
 FORMAT_VERSION = 1
 PROBLEM_FORMAT = "riskshed-problem"
@@ -37,11 +37,8 @@ SIMULATION_FIELDS = ["policy", "replication", "lost_sales_events",
 
 
 class ParseError(Exception):
-    """File is structurally broken: bad JSON, missing fields, bad checksum."""
-
-
-class VersionMismatch(ParseError):
-    """File declares a format version this code does not speak."""
+    """File is structurally broken: bad JSON, missing fields, bad checksum,
+    or a format version this code does not speak."""
 
 
 def _tolist(a):
@@ -89,8 +86,8 @@ def _load(path, expected_format):
         raise ParseError(f"{path}: format is '{doc['format']}', "
                          f"expected '{expected_format}'")
     if doc["version"] != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: version {doc['version']} "
-                              f"unsupported (this build reads {FORMAT_VERSION})")
+        raise ParseError(f"{path}: version {doc['version']} "
+                         f"unsupported (this build reads {FORMAT_VERSION})")
     if doc["checksum"] != _checksum(doc):
         raise ParseError(f"{path}: checksum mismatch, file corrupted")
     return doc
@@ -159,7 +156,7 @@ def _instance_from_payload(payload):
 class ProblemFile:
     kind: str
     problem: TwoStageProblem
-    instance: MssopInstance | None = None
+    model: MssopModel | None = None     # the ordering kind's model
     generator: dict | None = None
     rng: dict | None = None
     checksum: str = ""
@@ -199,12 +196,12 @@ def load_problem(path) -> ProblemFile:
     if "payload" not in doc:
         raise ParseError(f"{path}: missing field 'payload'")
     if kind == "mssop":
-        instance = _instance_from_payload(doc["payload"])
-        problem = build_mssop_two_stage(instance).problem
+        model = build_mssop_two_stage(_instance_from_payload(doc["payload"]))
+        problem = model.problem
     else:
-        instance = None
+        model = None
         problem = _problem_from_payload(doc["payload"])
-    return ProblemFile(kind=kind, problem=problem, instance=instance,
+    return ProblemFile(kind=kind, problem=problem, model=model,
                        generator=doc.get("generator"), rng=doc.get("rng"),
                        checksum=doc["checksum"])
 

@@ -182,7 +182,6 @@ class LShapedResult:
     status: str
     x: np.ndarray
     master_objective: float     # valid lower bound on the relaxed optimum
-    upper_estimate: float       # best (1-rho)c'x + Theta(x) seen
     iterations: int
     cuts: CutPool
     history: list
@@ -243,6 +242,5 @@ def lshaped_solve(problem: TwoStageProblem, rho: float, eta: float,
         raise RuntimeError("theta floor active at convergence; "
                            "the recourse bound is not trustworthy")
     return LShapedResult(status=status, x=best_x if best_x is not None else x,
-                         master_objective=master_obj,
-                         upper_estimate=best_upper, iterations=it,
-                         cuts=pool, history=history)
+                         master_objective=master_obj, iterations=it, cuts=pool,
+                         history=history)

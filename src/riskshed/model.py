@@ -35,20 +35,6 @@ MAX_ENUMERATED_N2 = 12
 ENUMERATION_TOL = 1e-9
 
 
-class InfeasibleSecondStage(SolveFailed):
-    """No feasible recourse exists for the queried (x, scenario) pair."""
-
-    def __init__(self, message):
-        super().__init__(message, INFEASIBLE)
-
-
-class UnboundedSecondStage(SolveFailed):
-    """The recourse program is unbounded below, which indicates bad model data."""
-
-    def __init__(self, message):
-        super().__init__(message, UNBOUNDED)
-
-
 class ValidationError(ValueError):
     """Problem data violates the model contract."""
 
@@ -265,8 +251,9 @@ def _binary_points(n):
 
 
 def _no_recourse(index, x):
-    return InfeasibleSecondStage(
-        f"scenario {index} has no feasible recourse at x={np.asarray(x).tolist()}")
+    return SolveFailed(
+        f"scenario {index} has no feasible recourse at x={np.asarray(x).tolist()}",
+        INFEASIBLE)
 
 
 def evaluate_scenario_cost(problem, x, index, backend=None):
@@ -278,8 +265,9 @@ def evaluate_scenario_cost(problem, x, index, backend=None):
     returns; no solver is called.  Any other
     scenario is solved on ``backend``.
 
-    Raises InfeasibleSecondStage / UnboundedSecondStage on pathological
-    scenarios; both indicate the model violates the recourse assumptions.
+    Raises ``SolveFailed`` with status ``infeasible`` or ``unbounded`` on
+    pathological scenarios; both indicate the model violates the recourse
+    assumptions.
     """
     s = problem.scenarios[index]
     if s.n2 <= MAX_ENUMERATED_N2 and s.integrality.all():
@@ -296,7 +284,7 @@ def evaluate_scenario_cost(problem, x, index, backend=None):
     if sol.status == INFEASIBLE:
         raise _no_recourse(index, x)
     if sol.status == UNBOUNDED:
-        raise UnboundedSecondStage(f"scenario {index} recourse is unbounded below")
+        raise SolveFailed(f"scenario {index} recourse is unbounded below", UNBOUNDED)
     return float(optimal(sol, f"scenario {index} recourse solve").objective)
 
 

@@ -122,7 +122,6 @@ def generate_mssop_instance(num_items, num_periods, num_scenarios,
 class ReplenishmentPlan:
     orders: np.ndarray            # x, item x period
     setups: np.ndarray            # y
-    segment_flags: np.ndarray     # q, breakpoint x period
     segment_weights: np.ndarray   # z
 
     def first_stage_cost(self, instance: MssopInstance) -> float:
@@ -144,7 +143,6 @@ class MssopModel:
         return ReplenishmentPlan(
             orders=x_first[o["x"]:o["x"] + I * T].reshape(I, T),
             setups=np.rint(x_first[o["y"]:o["y"] + I * T]).reshape(I, T),
-            segment_flags=np.rint(x_first[o["q"]:o["q"] + J * T]).reshape(J, T),
             segment_weights=x_first[o["z"]:o["z"] + J * T].reshape(J, T))
 
 
@@ -270,7 +268,6 @@ EVENT_TOL = 1e-6
 class SimulationReport:
     label: str
     replications: int
-    seed: int
     lost_sales_events: np.ndarray     # per replication, cells with u > EVENT_TOL
     lost_sales_quantity: np.ndarray   # per replication
     recourse_cost: np.ndarray         # per replication
@@ -348,7 +345,7 @@ def simulate_policy(instance, plan: ReplenishmentPlan, replications=5,
             demand = sample_demand(instance, rng)
         events[r], quantity[r], cost[r] = _simulate_once(instance, orders, demand)
     return SimulationReport(
-        label=label or "plan", replications=replications, seed=seed,
+        label=label or "plan", replications=replications,
         lost_sales_events=events, lost_sales_quantity=quantity,
         recourse_cost=cost, replenishment_cost=plan.first_stage_cost(instance))
 

@@ -9,7 +9,8 @@ scenario (so on such problems the optimum involves no solver at all) and
 solves continuous or mixed recourse on the backend.  That shared
 enumeration is checked bit for bit against HiGHS in ``tests/test_model.py``
 and independently by ``bench/workloads.enumerated_optimum``.  Scale caps
-keep enumeration honest; anything larger is refused, not sampled.
+keep enumeration honest; anything larger is refused with a ``ValueError``,
+not sampled.
 """
 from __future__ import annotations
 
@@ -28,10 +29,6 @@ from .model import (
 MAX_N1 = 12
 MAX_SCENARIOS = 10
 FEAS_TOL = 1e-9
-
-
-class ScaleRefused(ValueError):
-    """Instance exceeds the enumeration caps; no fallback is attempted."""
 
 
 @dataclass
@@ -70,15 +67,18 @@ def brute_force_optimum(problem: TwoStageProblem, spec: RiskSpec,
     Each excess measure reads eta the way ``model`` does: expected excess
     against the second-stage cost f_w - c'x, modified expected excess
     against the total f_w.
+
+    Raises ``ValueError`` when n1, n2 or the scenario count exceeds its
+    cap, or when the first stage is not all-binary.
     """
     if problem.n1 > MAX_N1 or problem.n2 > MAX_N2:
-        raise ScaleRefused(f"n1={problem.n1}, n2={problem.n2} "
-                           f"exceed caps ({MAX_N1}, {MAX_N2})")
+        raise ValueError(f"n1={problem.n1}, n2={problem.n2} "
+                         f"exceed caps ({MAX_N1}, {MAX_N2})")
     if problem.num_scenarios > MAX_SCENARIOS:
-        raise ScaleRefused(f"{problem.num_scenarios} scenarios exceed "
-                           f"cap {MAX_SCENARIOS}")
+        raise ValueError(f"{problem.num_scenarios} scenarios exceed "
+                         f"cap {MAX_SCENARIOS}")
     if not problem.first_stage_integrality.all():
-        raise ScaleRefused("enumeration needs an all-binary first stage")
+        raise ValueError("enumeration needs an all-binary first stage")
     backend = get_backend(backend)
     p = problem.probabilities
     best_x = None
@@ -103,10 +103,11 @@ def cut_validity_audit(problem, rho, eta, cuts, backend=None, threads=None):
 
     Enumerates every first-stage-feasible binary x, computes the exact
     relaxed recourse value, and reports how far each cut overshoots it.
-    Report-only: callers decide what a violation means.
+    Report-only: callers decide what a violation means.  Raises
+    ``ValueError`` when n1 exceeds ``MAX_N1``.
     """
     if problem.n1 > MAX_N1:
-        raise ScaleRefused(f"n1={problem.n1} exceeds cap {MAX_N1}")
+        raise ValueError(f"n1={problem.n1} exceeds cap {MAX_N1}")
     backend = get_backend(backend)
     p = problem.probabilities
     worst = 0.0

@@ -19,7 +19,7 @@ from riskshed.model import (RiskMeasure, RiskSpec, Scenario, TwoStageProblem,
                             evaluate_objective)
 from riskshed.oracle import brute_force_optimum
 
-from conftest import unbounded_recourse_problem
+from conftest import svc_problem, unbounded_recourse_problem
 
 
 def run(*argv):
@@ -124,6 +124,19 @@ def test_rm_asd_history_columns(knap_file, tmp_path):
     header = open(str(tmp_path / "rm.history.csv")).readline().strip()
     assert header == ("iteration,eta,lower,upper,gap,s_plus,s_minus,"
                       "cuts_added,event")
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 1: the rm-asd lower bound overshoots "
+                          "the upper on svc.7, and save_result refuses it")
+def test_rm_asd_records_a_sandwich_on_svc(tmp_path):
+    path = str(tmp_path / "svc.sp2.json")
+    fileio.save_problem(path, problem=svc_problem(7))
+    out = str(tmp_path / "svc.result.json")
+    assert run("solve", "--in", path, "--method", "rm-asd", "--risk", "asd",
+               "--rho", "0.5", "--max-iters", "12", "--out", out) in (0, 4)
+    doc = fileio.load_result(out)
+    assert doc["lower"] <= doc["upper"]
 
 
 @pytest.mark.parametrize("extra, status, code", [
@@ -585,6 +598,15 @@ ORDERING_EDITS = {
 }
 
 
+# the one row after the header of a simulation table that report refuses
+BAD_TABLE_ROWS = {
+    "report-mean-rows-only": "neutral,mean,0.0,0.0,0.0,0.0",
+    "report-non-numeric": "neutral,0,1,2.0,abc,4.0",
+    "report-short-row": "A,0,1",
+    "report-nan": "neutral,0,1,2.0,nan,4.0",
+}
+
+
 def _broken_input(case, knap_file, mssop_file, tmp_path):
     """Write the broken input that case names; return the argv reading it."""
     solve = ["solve", "--risk", "neutral", "--out",
@@ -601,6 +623,12 @@ def _broken_input(case, knap_file, mssop_file, tmp_path):
     if case == "no-payload":
         rewrite(knap_file, lambda doc: doc.pop("payload"))
         return solve + [knap_file]
+    if case == "technology-1d":
+        def flatten(doc):
+            scenario = doc["payload"]["scenarios"][0]
+            scenario["technology"] = scenario["technology"][0]
+        rewrite(knap_file, flatten)
+        return solve + [knap_file]
     if case in ORDERING_EDITS:
         rewrite(mssop_file, lambda doc: ORDERING_EDITS[case](doc["payload"]))
         return solve + [mssop_file]
@@ -613,15 +641,16 @@ def _broken_input(case, knap_file, mssop_file, tmp_path):
                                           "subcommand": "rerun", "config": {}}),
         }[case])
         return rerun
-    if case == "report-mean-rows-only":
-        table.write_text(",".join(fileio.SIMULATION_FIELDS)
-                         + "\nneutral,mean,0.0,0.0,0.0,0.0\n")
+    if case in BAD_TABLE_ROWS:
+        table.write_text(",".join(fileio.SIMULATION_FIELDS) + "\n"
+                         + BAD_TABLE_ROWS[case] + "\n")
     return report
 
 
 @pytest.mark.parametrize("case, message", [
     ("kind-lp", "unknown kind 'lp'"),
     ("no-payload", "missing field 'payload'"),
+    ("technology-1d", "technology matrix must be 2-dimensional, got shape (5,)"),
     ("no-demand", "instance payload missing field 'demand'"),
     ("demand-2d", "demand must be scenario x item x period"),
     ("breakpoints-decrease", "breakpoint weights must be nondecreasing"),
@@ -631,6 +660,9 @@ def _broken_input(case, knap_file, mssop_file, tmp_path):
     ("rerun-of-rerun", "cannot rerun subcommand 'rerun'"),
     ("report-missing-file", "No such file or directory"),
     ("report-mean-rows-only", "no simulation rows in the inputs"),
+    ("report-non-numeric", "t.sim.csv: line 2: replication values must be finite numbers"),
+    ("report-short-row", "t.sim.csv: line 2: replication values must be finite numbers"),
+    ("report-nan", "t.sim.csv: line 2: replication values must be finite numbers"),
 ])
 def test_broken_input_files_exit_2_and_write_nothing(
         knap_file, mssop_file, tmp_path, capsys, case, message):

@@ -51,8 +51,8 @@ def test_mssop_kind_rebuilds_two_stage(tmp_path):
     path = tmp_path / "m.sp2.json"
     fileio.save_problem(path, kind="mssop", instance=inst)
     pf = fileio.load_problem(path)
-    assert pf.instance is not None
-    assert np.array_equal(pf.instance.demand, inst.demand)
+    assert pf.problem is pf.model.problem
+    assert np.array_equal(pf.model.instance.demand, inst.demand)
     # the canonical two-stage mapping comes back deterministically
     from riskshed.mssop import build_mssop_two_stage
     direct = build_mssop_two_stage(inst).problem
@@ -85,7 +85,8 @@ def test_version_gate(tmp_path):
     doc["version"] = 99
     doc["checksum"] = fileio._checksum(doc)
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    with pytest.raises(fileio.VersionMismatch):
+    with pytest.raises(fileio.ParseError, match="version 99 unsupported "
+                       r"\(this build reads 1\)"):
         fileio.load_problem(path)
 
 
@@ -150,7 +151,6 @@ def test_history_csv_field_filter(tmp_path):
 def test_simulation_csv_mean_rows(tmp_path):
     inst = generate_mssop_instance(2, 2, 2, seed=3)
     null = ReplenishmentPlan(orders=np.zeros((2, 2)), setups=np.zeros((2, 2)),
-                             segment_flags=np.zeros((7, 2)),
                              segment_weights=np.zeros((7, 2)))
     rep = simulate_policy(inst, null, replications=3, seed=5, label="null")
     path = tmp_path / "s.sim.csv"

@@ -156,7 +156,6 @@ def test_plan_helpers():
     z = np.zeros((7, 2))
     z[2, 0] = 0.5
     plan = ReplenishmentPlan(orders=orders, setups=setups,
-                             segment_flags=np.zeros((7, 2)),
                              segment_weights=z)
     assert (inst.unit_weight @ plan.orders).tolist() == [15.0, 6.0]
     assert (inst.freight_cost @ plan.segment_weights).tolist() == [500.0, 0.0]
@@ -166,7 +165,6 @@ def test_plan_helpers():
 def test_simulator_zero_demand_null_plan():
     inst = generate_mssop_instance(2, 3, 2, seed=9)
     plan = ReplenishmentPlan(orders=np.zeros((2, 3)), setups=np.zeros((2, 3)),
-                             segment_flags=np.zeros((7, 3)),
                              segment_weights=np.zeros((7, 3)))
     rep = simulate_policy(inst, plan, replications=4, seed=1,
                           zero_demand=True)
@@ -179,7 +177,6 @@ def test_simulator_zero_demand_null_plan():
 def test_simulator_charges_fractional_orders_as_solved():
     inst = hand_instance(np.full((1, 1, 1), 10.0), holding=50.0)
     plan = ReplenishmentPlan(orders=np.array([[0.5]]), setups=np.ones((1, 1)),
-                             segment_flags=np.zeros((7, 1)),
                              segment_weights=np.zeros((7, 1)))
     rep = simulate_policy(inst, plan, replications=2, seed=0,
                           zero_demand=True)
@@ -197,7 +194,6 @@ def test_simulator_charges_fractional_orders_as_solved():
 def test_simulator_streams_shared_across_policies():
     inst = generate_mssop_instance(2, 3, 3, seed=13)
     null = ReplenishmentPlan(orders=np.zeros((2, 3)), setups=np.zeros((2, 3)),
-                             segment_flags=np.zeros((7, 3)),
                              segment_weights=np.zeros((7, 3)))
     rep = simulate_policy(inst, null, replications=6, seed=4)
     # with no stock the lost quantity per replication is the drawn demand,
@@ -215,7 +211,7 @@ def test_simulator_streams_shared_across_policies():
 def test_simulation_report_means():
     rep = simulate_policy(generate_mssop_instance(1, 2, 2, seed=2),
                           ReplenishmentPlan(np.zeros((1, 2)), np.zeros((1, 2)),
-                                            np.zeros((7, 2)), np.zeros((7, 2))),
+                                            np.zeros((7, 2))),
                           replications=3, seed=0)
     assert rep.mean_events == pytest.approx(rep.lost_sales_events.mean())
     assert rep.mean_total_cost == pytest.approx(
