@@ -1,25 +1,30 @@
-"""Record or compare the bounding driver's outcome on the criterion-4 batch,
-the semideviation extensive form's optimum on two batches, or what the CLI
+"""Record or compare the bounding driver's outcome on two batches, the
+semideviation extensive form's optimum on two batches, or what the CLI
 writes on a fixed script.
 
     PYTHONPATH=<tree A>/src python demos/driver_equivalence.py dump a.json
     PYTHONPATH=<tree B>/src python demos/driver_equivalence.py dump b.json
     python demos/driver_equivalence.py compare a.json b.json
 
-``dump`` runs ``rm_asd_solve`` (rho 0.5, 15 iterations, scipy backend) on
-the twenty K.6.6.4 instances of acceptance criterion 4 (seeds 0-19, m1=3,
-m2=4) and writes, per instance, the status, both bounds, ``x_best``, the
-final target eta, every history column, the backend's solve counters and
-the pool size.  It also runs ``lshaped_solve`` (rho ``LSHAPED_RHO``, eta
-``LSHAPED_ETA``) single-cut and multicut on each instance, and records,
-per run, a digest over every program the run sends to the backend, in
-call order (``riskshed.backend.memo._digest`` of each, taken by a
-recording ``ScipyBackend``).  Floats are stored with ``float.hex``, so
-``compare`` checks them bit for bit.  ``compare`` reports every field
-that differs, every run whose program digest differs, and the two sides'
-counters and pool sizes.  Extra arguments name history columns to leave out, such as
-``wall_time``, which older trees wrote.  The exit status is 1 when
-anything compared differs.
+``dump`` runs ``rm_asd_solve`` (scipy backend) on two batches: the twenty
+K.6.6.4 instances of acceptance criterion 4 (seeds 0-19, m1=3, m2=4; rho
+0.5, 15 iterations) and the ninety svc runs of ROADMAP item 1
+(``svc_problem`` from ``tests/conftest.py``, seeds 0-29, rho 0.2, 0.5 and
+0.9, 12 iterations).  Per run it writes the final state (``STATE_FIELDS``:
+status, both bounds, the target eta, its step xi and stall count, both
+first stages, the scenario totals and both scenario classes), every
+history column, the backend's solve counters, the pool size, and a digest
+over every program the run sends to the backend, in call order
+(``riskshed.backend.memo._digest`` of each, taken by a recording
+``ScipyBackend``).  On the criterion-4 batch it also runs
+``lshaped_solve`` (rho ``LSHAPED_RHO``, eta ``LSHAPED_ETA``) single-cut
+and multicut and records each run's program digest.  Floats are stored
+with ``float.hex``, so ``compare`` checks them bit for bit.  ``compare``
+reports, per run, every field that differs, every program digest that
+differs, and the two sides' counters and pool sizes, then how many runs
+of each batch are identical.  Extra arguments name history columns to
+leave out, such as ``wall_time``, which older trees wrote.  The exit
+status is 1 when anything compared differs.
 
     PYTHONPATH=<tree A>/src python demos/driver_equivalence.py dep-dump a.json [SEED]
     PYTHONPATH=<tree B>/src python demos/driver_equivalence.py dep-dump b.json [SEED]
@@ -56,10 +61,11 @@ replays four manifests, and then runs two faults on problem files that
 ``cli-dump`` writes first (``FAULT_FILES``): an lshaped run whose plan has
 no binary recourse, and scenario probabilities that sum to 0.5.  The model
 refuses to build the latter, so each file is saved with both probabilities
-at 0.5 and its payload then edited.  It ends with two reports: one over
+at 0.5 and its payload then edited.  It ends with four reports: one over
 the same simulation table given twice, so that rows under one label merge,
-and one over a table with a non-numeric cell (``FAULT_TABLE``, also
-written first).  ``cli-dump`` writes each step's exit
+and three over tables that ``report`` refuses (``FAULT_TABLES``, also
+written first): a non-numeric cell, a row longer than the header, and one
+label with two plan costs.  ``cli-dump`` writes each step's exit
 code (``raised <Type>`` for a step that raises) and printed output, the
 SHA-256 of every file the steps leave behind, and each manifest's
 ``config``, ``inputs``, ``outputs``, ``checksums`` and ``exit_status`` (not
@@ -74,10 +80,15 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 
 import numpy as np
 
 SEEDS = range(20)
+SVC_SEEDS, SVC_RHOS = range(30), (0.2, 0.5, 0.9)
+# the final ``rm_asd_solve`` state that ``dump`` records and ``compare`` checks bit for bit
+STATE_FIELDS = ("status", "lower", "upper", "eta", "xi", "stalls", "x_hat",
+                "x_best", "totals", "s_plus", "s_minus")
 DIGEST_ETA = 12.5       # any nonzero target: it only has to reach the rhs
 LSHAPED_RHO, LSHAPED_ETA = 0.4, -900.0
 
@@ -113,44 +124,59 @@ def _recording_backend():
     return Recording()
 
 
-def dump(path):
+def _rm_asd_record(problem, rho, max_iters):
+    """One ``rm_asd_solve`` run on a recording backend, as a dump record."""
     from riskshed.asd_bounds import AsdBoundsConfig, rm_asd_solve
+
+    backend = _recording_backend()
+    state = rm_asd_solve(problem, AsdBoundsConfig(rho=rho, max_iters=max_iters,
+                                                  backend=backend))
+    record = {k: _hex(getattr(state, k)) for k in STATE_FIELDS}
+    record.update(
+        history=[{k: _hex(v) for k, v in row.items()} for row in state.history],
+        counters=backend.stats.as_dict(), pool=len(state.pool),
+        programs={"rm-asd": backend.programs.hexdigest()})
+    return record
+
+
+def dump(path):
     from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
     from riskshed.lshaped import lshaped_solve
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    os.pardir, "tests"))
+    from conftest import svc_problem
 
     records = []
     start = time.perf_counter()
     for seed in SEEDS:
         problem = generate_knapsack(KnapsackGenSpec(6, 6, 4, seed=seed, m1=3, m2=4))
-        backend = _recording_backend()
-        state = rm_asd_solve(problem, AsdBoundsConfig(rho=0.5, max_iters=15,
-                                                      backend=backend))
-        programs = {"rm-asd": backend.programs.hexdigest()}
+        record = {"batch": "criterion-4", "seed": seed, "rho": 0.5,
+                  **_rm_asd_record(problem, 0.5, 15)}
         for multicut in (False, True):
             recording = _recording_backend()
             lshaped_solve(problem, LSHAPED_RHO, LSHAPED_ETA, backend=recording,
                           multicut=multicut)
-            programs["lshaped-multicut" if multicut else "lshaped"] = (
+            record["programs"]["lshaped-multicut" if multicut else "lshaped"] = (
                 recording.programs.hexdigest())
-        records.append({
-            "seed": seed, "status": state.status, "lower": _hex(state.lower),
-            "upper": _hex(state.upper), "x_best": _hex(state.x_best),
-            "eta": _hex(state.eta),
-            "history": [{k: _hex(v) for k, v in row.items()} for row in state.history],
-            "counters": backend.stats.as_dict(), "pool": len(state.pool),
-            "programs": programs})
+        records.append(record)
+    for seed in SVC_SEEDS:
+        for rho in SVC_RHOS:
+            records.append({"batch": "svc", "seed": seed, "rho": rho,
+                            **_rm_asd_record(svc_problem(seed), rho, 12)})
     with open(path, "w") as fh:
         json.dump(records, fh, indent=1)
-    print(f"{len(records)} instances in {time.perf_counter() - start:.1f} s -> {path}")
+    print(f"{len(records)} runs in {time.perf_counter() - start:.1f} s -> {path}")
 
 
 def compare(path_a, path_b, ignore=()):
     with open(path_a) as fa, open(path_b) as fb:
         a, b = json.load(fa), json.load(fb)
     skip = set(ignore)
-    differ = 0
+    runs, differ = Counter(), Counter()
     for ra, rb in zip(a, b):
-        found = [k for k in ("status", "lower", "upper", "x_best", "eta") if ra[k] != rb[k]]
+        batch = ra.get("batch", "criterion-4")
+        found = [k for k in STATE_FIELDS if ra.get(k) != rb.get(k)]
         programs_a, programs_b = ra.get("programs", {}), rb.get("programs", {})
         found += [f"programs sent ({name})"
                   for name in sorted(programs_a.keys() | programs_b.keys())
@@ -160,18 +186,20 @@ def compare(path_a, path_b, ignore=()):
         for i, (ha, hb) in enumerate(zip(ra["history"], rb["history"])):
             found += [f"history[{i}].{k}" for k in ha if k not in skip and ha[k] != hb.get(k)]
         ca, cb = ra["counters"], rb["counters"]
-        print(f"seed {ra['seed']:2d} {ra['status']:<13} "
-              f"lp {ca['lp_solves']:4d} -> {cb['lp_solves']:3d}  "
+        print(f"{batch} seed {ra['seed']:2d} rho {ra.get('rho', 0.5)} "
+              f"{ra['status']:<13} "
+              f"lp {ca['lp_solves']:4d} -> {cb['lp_solves']:4d}  "
               f"mip {ca['mip_solves']:3d} -> {cb['mip_solves']:3d}  "
-              f"cuts {ra['pool']:3d} -> {rb['pool']:2d}  "
+              f"cuts {ra['pool']:3d} -> {rb['pool']:3d}  "
               + ("identical" if not found else "DIFFERS: " + ", ".join(found)))
-        differ += bool(found)
+        runs[batch] += 1
+        differ[batch] += bool(found)
     if len(a) != len(b):
-        print(f"instance counts differ: {len(a)} != {len(b)}")
-        differ += 1
-    print(f"{len(a) - differ}/{len(a)} instances identical"
-          + (f" (history {', '.join(sorted(skip))} not compared)" if skip else ""))
-    return 1 if differ else 0
+        print(f"run counts differ: {len(a)} != {len(b)}")
+    for batch, total in runs.items():
+        print(f"{batch}: {total - differ[batch]}/{total} runs identical"
+              + (f" (history {', '.join(sorted(skip))} not compared)" if skip else ""))
+    return 1 if len(a) != len(b) or sum(differ.values()) else 0
 
 
 def _dep_cases(seed):
@@ -323,14 +351,18 @@ CLI_SCRIPT = [
     ["report", "--inputs", "m-neutral.sim.csv", "m-neutral.sim.csv",
      "--out", "twice.csv"],
     ["report", "--inputs", "bad.sim.csv", "--out", "bad-summary.csv"],
+    ["report", "--inputs", "long.sim.csv", "--out", "long-summary.csv"],
+    ["report", "--inputs", "clash.sim.csv", "--out", "clash-summary.csv"],
 ]
 # name -> scenario probability of the two-scenario model x + 2y = 1
 # (x, y binary): x = 0 has no binary recourse, though its relaxation does.
 FAULT_FILES = {"no-recourse.sp2.json": 0.5, "half.sp2.json": 0.25}
-# a simulation table whose one replication row has a non-numeric cell
-FAULT_TABLE = ("bad.sim.csv", "policy,replication,lost_sales_events,"
-               "lost_sales_quantity,recourse_cost,replenishment_cost\n"
-               "neutral,0,1,2.0,abc,4.0\n")
+# simulation tables that report refuses, by the rows after the header: a
+# non-numeric cell, a row longer than the header, and one label whose rows
+# carry two plan costs
+FAULT_TABLES = {"bad.sim.csv": "neutral,0,1,2.0,abc,4.0\n",
+                "long.sim.csv": "A,1,3,4.0,30.0,500.0,999\n",
+                "clash.sim.csv": "A,0,1,2.0,10.0,100.0\nA,1,3,4.0,30.0,500.0\n"}
 MANIFEST_FIELDS = ("config", "inputs", "outputs", "checksums", "exit_status")
 
 
@@ -351,9 +383,9 @@ def _write_fault_files():
             scenario["probability"] = p
         doc["checksum"] = fileio._checksum(doc)
         fileio._write_json(name, doc)
-    name, text = FAULT_TABLE
-    with open(name, "w") as fh:
-        fh.write(text)
+    for name, rows in FAULT_TABLES.items():
+        with open(name, "w") as fh:
+            fh.write(",".join(fileio.SIMULATION_FIELDS) + "\n" + rows)
 
 
 def cli_dump(path):

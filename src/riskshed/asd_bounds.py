@@ -22,9 +22,14 @@ Once the target stops moving, iterations mostly repeat earlier work: the
 same candidate is evaluated again, the same cuts come back, and the same
 master is rebuilt.  ``rm_asd_solve`` therefore runs on a ``MemoBackend``
 that lives for one call (``initialize`` included) and answers repeated
-programs from memory, and the cut pool rejects bit-identical cuts.  A
-stalled iteration then issues no solver call at all, while every bound,
-iterate and target stays what re-solving would have given.
+programs from memory, and the cut pool rejects bit-identical cuts.  An
+iteration whose key (x_hat, eta, pool size) after ``adjust_target`` repeats
+is replayed: the body reads nothing else, and the pool only grows.  It
+restores that body's x_hat, totals and event, and is exact.  The body is
+deterministic and the pool rejects repeats, so it adds no cut.  Its lower
+candidate was taken in already (beating ``lower`` now would need upper <=
+lower, i.e. convergence); its value is already >= ``upper``.  Eta, xi and
+the stall count evolve as before, since ``adjust_target`` still runs.
 """
 from __future__ import annotations
 
@@ -211,8 +216,14 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
         state.status = "converged"
         return state
 
+    seen = {}
     for it in range(1, config.max_iters + 1):
         adjust_target(state, problem)
+        key = (state.x_hat.tobytes(), state.eta, len(state.pool))
+        if key in seen:
+            state.x_hat, state.totals, event = seen[key]
+            state.history.append(_record(state, it, 0, event))
+            continue
         cut = excess_mean_cut(problem, config.rho, state.x_hat, state.eta,
                               backend, config.threads)
         cuts_added = int(state.pool.add(cut))
@@ -243,6 +254,7 @@ def rm_asd_solve(problem: TwoStageProblem, config: AsdBoundsConfig):
                                  backend, config.threads)
         cuts_added += sum(state.pool.add(c)
                           for c in cuts_from_duals(problem, subs))
+        seen[key] = (x_new, totals, event)
 
         state.history.append(_record(state, it, cuts_added, event))
         if state.gap < state.epsilon:

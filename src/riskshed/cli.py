@@ -393,6 +393,9 @@ def _read_sim_table(path):
             raise UsageError(f"{path}: not a simulation table "
                              f"(columns {reader.fieldnames})")
         for row in reader:
+            if None in row:                      # csv files extra cells under None
+                raise UsageError(f"{path}: line {reader.line_num}: row has more "
+                                 "cells than the header")
             if row["replication"] == "mean":
                 continue
             try:
@@ -424,7 +427,10 @@ def run_report(cfg):
         events = np.array([r["lost_sales_events"] for r in group])
         qty = np.array([r["lost_sales_quantity"] for r in group])
         rec = np.array([r["recourse_cost"] for r in group])
-        replen = group[0]["replenishment_cost"]
+        replen, *others = dict.fromkeys(r["replenishment_cost"] for r in group)
+        if others:
+            raise UsageError(f"policy {policy!r} carries two plan costs: "
+                             f"{replen!r} and {others[0]!r}")
         table.append({
             "policy": policy, "replications": len(group),
             "mean_lost_sales_events": repr(float(events.mean())),

@@ -7,6 +7,7 @@ the upper bound achievable by the reported first stage.
 import numpy as np
 import pytest
 
+from riskshed import asd_bounds
 from riskshed.asd_bounds import (
     AsdBoundsConfig, AsdBoundsState, adjust_target, excess_mean_cut,
     initialize, rm_asd_solve,
@@ -169,6 +170,37 @@ def test_fixed_point_iterations_issue_no_solves():
     assert short.history == full.history[:6]
     assert sum(row["cuts_added"] for row in full.history) == len(full.pool)
     assert full.history[-1]["cuts_added"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_repeated_iterations_are_replayed(monkeypatch, seed):
+    # eta ties on seed 0 and alternates between two values on seed 1; either
+    # way the iterations after the first few repeat an earlier body, which is
+    # replayed without building its cut or master again
+    calls = {"build_master": 0, "excess_mean_cut": 0}
+
+    def counting(name):
+        inner = getattr(asd_bounds, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(asd_bounds, name, counting(name))
+    problem = small_knapsack(seed)
+    runs = {}
+    for iters in (5, 15):
+        before = dict(calls)
+        state = rm_asd_solve(problem, AsdBoundsConfig(
+            rho=0.5, max_iters=iters, backend=ScipyBackend()))
+        assert state.status == "iteration_cap"
+        runs[iters] = ({k: calls[k] - before[k] for k in calls}, state.history)
+    assert runs[5][0] == runs[15][0]
+    assert runs[5][0]["build_master"] < 5
+    assert runs[5][1] == runs[15][1][:6]
+    assert all(row["cuts_added"] == 0 for row in runs[15][1][6:])
 
 
 def test_cuts_added_counts_pool_entries():

@@ -598,12 +598,14 @@ ORDERING_EDITS = {
 }
 
 
-# the one row after the header of a simulation table that report refuses
+# the rows after the header of a simulation table that report refuses
 BAD_TABLE_ROWS = {
     "report-mean-rows-only": "neutral,mean,0.0,0.0,0.0,0.0",
     "report-non-numeric": "neutral,0,1,2.0,abc,4.0",
     "report-short-row": "A,0,1",
+    "report-long-row": "A,1,3,4.0,30.0,500.0,999",
     "report-nan": "neutral,0,1,2.0,nan,4.0",
+    "report-label-cost-clash": "A,0,1,2.0,10.0,100.0\nA,1,3,4.0,30.0,500.0",
 }
 
 
@@ -663,6 +665,9 @@ def _broken_input(case, knap_file, mssop_file, tmp_path):
     ("report-non-numeric", "t.sim.csv: line 2: replication values must be finite numbers"),
     ("report-short-row", "t.sim.csv: line 2: replication values must be finite numbers"),
     ("report-nan", "t.sim.csv: line 2: replication values must be finite numbers"),
+    ("report-long-row", "t.sim.csv: line 2: row has more cells than the header"),
+    ("report-label-cost-clash",
+     "policy 'A' carries two plan costs: 100.0 and 500.0"),
 ])
 def test_broken_input_files_exit_2_and_write_nothing(
         knap_file, mssop_file, tmp_path, capsys, case, message):
