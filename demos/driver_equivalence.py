@@ -56,7 +56,8 @@ the exit status is 1 when any instance is listed.
 ``cli-dump`` runs ``CLI_SCRIPT`` through ``riskshed.cli.main`` in a fresh
 temporary directory, with relative paths so that manifests from two trees
 name the same files.  The script runs every subcommand and every
-``--method``, hits the node and iteration caps and one usage error,
+``--method``, runs the collapsed semideviation solve and one ``rm-asd``
+solve on two workers, hits the node and iteration caps and one usage error,
 replays four manifests, and then runs two faults on problem files that
 ``cli-dump`` writes first (``FAULT_FILES``): an lshaped run whose plan has
 no binary recourse, and scenario probabilities that sum to 0.5.  The model
@@ -328,6 +329,8 @@ CLI_SCRIPT = [
     ["solve", *_KNAP, *_ASD, "--method", "rm-asd", "--out", "k-rm.result.json"],
     ["solve", *_KNAP, *_ASD, "--method", "rm-asd", "--max-iters", "3", "--epsilon",
      "0.5", "--xi", "20", "--out", "k-rm-cap.result.json"],
+    ["solve", *_KNAP, *_ASD, "--method", "rm-asd", "--threads", "2",
+     "--out", "k-rm-2.result.json"],
     ["solve", *_KNAP, *_MOD_EE, "--method", "rm-asd", "--out", "k-bad.result.json"],
     ["solve", *_ORDER, "--risk", "neutral", "--out", "m-neutral.result.json"],
     ["solve", *_ORDER, "--risk", "asd", "--rho", "0.9", "--collapse-mean-row",

@@ -3,7 +3,7 @@
 ``ScipyBackend`` runs HiGHS through scipy; it is the one solver, behind
 the ``Backend`` contract so that ``MemoBackend`` (which answers repeated
 programs from memory) and test doubles can stand in for it.
-``get_backend`` resolves ``None``, the name ``"scipy"`` or an instance.
+``get_backend`` gives a fresh ``ScipyBackend`` for ``None``.
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ class ScipyBackend(Backend):
     """HiGHS through scipy; scipy.optimize is imported on the first solve,
     as it is slow to load."""
 
-    name = "scipy"
-
     def solve_lp(self, lp):
         from . import scipy_backend
 
@@ -45,14 +43,6 @@ class ScipyBackend(Backend):
         return sol
 
 
-def get_backend(spec=None) -> Backend:
-    """Resolve a backend argument: None or "scipy" -> a fresh
-    ``ScipyBackend``, an instance -> itself.
-    """
-    if spec is None or spec == "scipy":
-        return ScipyBackend()
-    if isinstance(spec, Backend):
-        return spec
-    if isinstance(spec, str):
-        raise ValueError(f"unknown backend {spec!r}")
-    raise TypeError(f"cannot interpret backend spec {spec!r}")
+def get_backend(backend: Backend | None = None) -> Backend:
+    """The given backend, or a fresh ``ScipyBackend`` for None."""
+    return ScipyBackend() if backend is None else backend

@@ -46,7 +46,6 @@ class MemoBackend(Backend):
 
     def __init__(self, inner: Backend):
         self.inner = inner
-        self.name = inner.name
         self.stats = inner.stats
         self._lock = threading.Lock()
         self._slots = {}            # digest -> [lock, solution or None]

@@ -149,8 +149,6 @@ class Backend:
     outputs) and safe to call from multiple threads.
     """
 
-    name = "abstract"
-
     def __init__(self):
         self.stats = SolveStats()
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fileio, util
 from .asd_bounds import AsdBoundsConfig, rm_asd_solve
-from .backend import SolveFailed, get_backend
+from .backend import ScipyBackend, SolveFailed
 from .dep import (build_dep_absolute_semideviation, build_dep_expectation,
                   build_dep_expected_excess, build_dep_modified_expected_excess)
 from .knapsack import (RNG_IDENTITY, KnapsackGenSpec, audit_dimensions,
@@ -211,6 +211,8 @@ def _validate_solve(cfg):
             raise UsageError("--eta must be finite")
     elif eta is not None:
         raise UsageError("--eta applies to the excess measures only")
+    if cfg["threads"] < 1:
+        raise UsageError("--threads must be at least 1")
     risks, flags = METHODS[method].risks, METHODS[method].flags
     if risk not in risks:
         raise UsageError(f"--method {method} supports --risk "
@@ -311,8 +313,7 @@ def run_solve(cfg):
     _validate_solve(cfg)
     method = METHODS[cfg["method"]]
     pf = fileio.load_problem(cfg["in"])
-    backend = get_backend(cfg["backend"])
-    cfg["backend"] = backend.name
+    backend = ScipyBackend()
     cfg["history"] = _history_path(cfg["out"])
     try:
         fields, history = method.runner(cfg, pf.problem, backend)
@@ -620,8 +621,8 @@ def build_parser():
     s.add_argument("--method", default="dep", choices=tuple(METHODS))
     s.add_argument("--backend", default="scipy", choices=("scipy",),
                    help="solver (HiGHS through scipy)")
-    s.add_argument("--threads", type=int, default=None,
-                   help="worker cap; RISKSHED_THREADS as fallback")
+    s.add_argument("--threads", type=int, default=1,
+                   help="workers for per-scenario solves")
     # Method flags: None means unset; see METHODS for who reads which.
     s.add_argument("--mip-gap", dest="mip_gap", type=float, default=None)
     s.add_argument("--node-cap", dest="node_cap", type=int, default=None)
@@ -671,8 +672,6 @@ def build_parser():
 def main(argv=None):
     cfg = vars(build_parser().parse_args(argv))
     subcommand = cfg.pop("subcommand")
-    if "threads" in cfg:
-        cfg["threads"] = util.resolve_threads(cfg["threads"])
     return execute(subcommand, cfg)
 
 

@@ -200,9 +200,12 @@ def test_dispatch_rules_exit_2(knap_file, tmp_path):
       "lshaped", "--tol", "nan"], "--tol must be finite and positive"),
     (["--risk", "mod-ee", "--rho", "0.4", "--eta", "-2200", "--method",
       "lshaped", "--tol", "-1"], "--tol must be finite and positive"),
+    (["--risk", "neutral", "--threads", "0"], "--threads must be at least 1"),
+    (["--risk", "neutral", "--threads", "-2"], "--threads must be at least 1"),
 ], ids=["eta-inf", "eta-nan", "xi-nan", "xi-inf", "epsilon-nan", "mip-gap--1",
         "mip-gap-nan", "mip-gap-inf", "node-cap--5", "node-cap-0",
-        "max-iters-0", "max-iters--3", "tol-nan", "tol--1"])
+        "max-iters-0", "max-iters--3", "tol-nan", "tol--1", "threads-0",
+        "threads--2"])
 def test_non_finite_inputs_exit_2(knap_file, tmp_path, capsys, extra, message):
     capsys.readouterr()
     out = str(tmp_path / "x.result.json")
@@ -827,17 +830,20 @@ def test_rerun_rejects_a_broken_solve_config(knap_file, tmp_path, capsys, edit):
     assert not replay_dir.exists()
 
 
-@pytest.mark.parametrize("method", ["dep", "rm-asd"])
-def test_two_threads_replay_one_thread(knap_file, tmp_path, method):
+@pytest.mark.parametrize("method, extra", [
+    ("dep", ["--risk", "asd", "--rho", "0.5"]),
+    ("rm-asd", ["--risk", "asd", "--rho", "0.5", "--max-iters", "8"]),
+    ("lshaped", ["--risk", "mod-ee", "--rho", "0.4", "--eta", "-2200"]),
+], ids=["dep", "rm-asd", "lshaped"])
+def test_two_threads_replay_one_thread(knap_file, tmp_path, method, extra):
     results = []
     for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}" / "asd.result.json"
+        out = tmp_path / f"t{threads}" / "run.result.json"
         out.parent.mkdir()
-        cap = ["--max-iters", "8"] if method == "rm-asd" else []
-        code = run("solve", "--in", knap_file, "--risk", "asd", "--rho",
-                   "0.5", "--method", method, *cap, "--threads", threads,
-                   "--backend", "scipy", "--out", str(out))
-        history = out.parent / "asd.history.csv"
+        code = run("solve", "--in", knap_file, "--method", method, *extra,
+                   "--threads", threads, "--backend", "scipy",
+                   "--out", str(out))
+        history = out.parent / "run.history.csv"
         results.append((code, out.read_bytes(), history.read_bytes()))
     assert results[0][0] in (0, 4)
     assert results[1] == results[0]

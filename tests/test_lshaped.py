@@ -18,7 +18,6 @@ from riskshed.lshaped import (
     THETA_FLOOR, CutPool, OptimalityCut, build_master, build_subproblem_lp,
     cuts_from_duals, lshaped_solve, solve_subproblems,
 )
-from riskshed.util import THREADS_ENV_VAR
 
 from conftest import covering_problem, greedy_feasible_point, relax_second_stage
 
@@ -246,8 +245,7 @@ def test_history_monotone_master():
     assert res.history[-1]["gap"] <= 1e-6 * max(1.0, abs(best))
 
 
-def test_subproblems_take_the_worker_count_from_the_environment(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+def test_subproblems_run_on_the_given_worker_count(monkeypatch):
     problem = covering_problem(np.random.default_rng(220), num_scenarios=3)
     backend = ScipyBackend()
     on_main, solve_lp = [], backend.solve_lp
@@ -258,5 +256,5 @@ def test_subproblems_take_the_worker_count_from_the_environment(monkeypatch):
 
     monkeypatch.setattr(backend, "solve_lp", spy)
     solve_subproblems(problem, 0.5, greedy_feasible_point(problem), -30.0,
-                      backend)
+                      backend, threads=2)
     assert on_main and not any(on_main)

@@ -1,8 +1,8 @@
-"""Shared helpers: gap convention, thread resolution, ordered map."""
+"""Shared helpers: gap convention and ordered map."""
 import numpy as np
 import pytest
 
-from riskshed.util import THREADS_ENV_VAR, gap_percent, map_ordered, resolve_threads
+from riskshed.util import gap_percent, map_ordered
 
 
 def test_gap_percent_anchors_on_lower_bound():
@@ -11,17 +11,6 @@ def test_gap_percent_anchors_on_lower_bound():
     assert gap_percent(-50.0, -50.0) == 0.0
     assert gap_percent(0.0, 0.0) == 0.0
     assert np.isinf(gap_percent(0.0, 3.0))
-
-
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    assert resolve_threads() == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "6")
-    assert resolve_threads() == 6
-    assert resolve_threads(threads=2) == 2      # explicit wins over env
-    monkeypatch.setenv(THREADS_ENV_VAR, "junk")
-    assert resolve_threads() == 1
-    assert resolve_threads(threads=0) == 1      # floor at one worker
 
 
 def test_map_ordered_preserves_order():
