@@ -6,11 +6,13 @@ writes on a fixed script.
     PYTHONPATH=<tree B>/src python demos/driver_equivalence.py dump b.json
     python demos/driver_equivalence.py compare a.json b.json
 
-``dump`` runs ``rm_asd_solve`` (scipy backend) on two batches: the twenty
-K.6.6.4 instances of acceptance criterion 4 (seeds 0-19, m1=3, m2=4; rho
-0.5, 15 iterations) and the ninety svc runs of ROADMAP item 1
+``dump`` runs ``rm_asd_solve`` (scipy backend) on three batches: the
+twenty K.6.6.4 instances of acceptance criterion 4 (seeds 0-19, m1=3,
+m2=4; rho 0.5, 15 iterations), the ninety svc runs of ROADMAP item 1
 (``svc_problem`` from ``tests/conftest.py``, seeds 0-29, rho 0.2, 0.5 and
-0.9, 12 iterations).  Per run it writes the final state (``STATE_FIELDS``:
+0.9, 12 iterations), and five K.10.12.5 instances with n2 at
+``model.neutral_plan``'s cap (``CAP_SEEDS``, m1=3, m2=4; rho 0.5, 5
+iterations).  Per run it writes the final state (``STATE_FIELDS``:
 status, both bounds, the target eta, its step xi and stall count, both
 first stages, the scenario totals and both scenario classes), every
 history column, the backend's solve counters, the pool size, and a digest
@@ -87,6 +89,7 @@ import numpy as np
 
 SEEDS = range(20)
 SVC_SEEDS, SVC_RHOS = range(30), (0.2, 0.5, 0.9)
+CAP_SEEDS = range(5)
 # the final ``rm_asd_solve`` state that ``dump`` records and ``compare`` checks bit for bit
 STATE_FIELDS = ("status", "lower", "upper", "eta", "xi", "stalls", "x_hat",
                 "x_best", "totals", "s_plus", "s_minus")
@@ -165,6 +168,10 @@ def dump(path):
         for rho in SVC_RHOS:
             records.append({"batch": "svc", "seed": seed, "rho": rho,
                             **_rm_asd_record(svc_problem(seed), rho, 12)})
+    for seed in CAP_SEEDS:
+        problem = generate_knapsack(KnapsackGenSpec(10, 12, 5, seed=seed, m1=3, m2=4))
+        records.append({"batch": "cap", "seed": seed, "rho": 0.5,
+                        **_rm_asd_record(problem, 0.5, 5)})
     with open(path, "w") as fh:
         json.dump(records, fh, indent=1)
     print(f"{len(records)} runs in {time.perf_counter() - start:.1f} s -> {path}")

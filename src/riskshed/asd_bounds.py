@@ -5,7 +5,10 @@ evaluation of candidate first stages:
 
   * the target eta starts at the risk-neutral optimal value and is nudged
     by a step xi toward balancing the probability mass of scenarios whose
-    total cost sits above versus below it;
+    total cost sits above versus below it.  That optimum, and the first
+    x_hat, come from ``model.neutral_plan``'s enumeration when the problem
+    is all binary with n1 and n2 at most 12, and from a HiGHS solve of the
+    neutral extensive form otherwise;
   * a master over (x, theta), fed by decomposition cuts and excess-mean
     subgradient cuts, yields lower-bound candidates master + rho*eta;
   * each new first stage is evaluated exactly (binary second stages) under
@@ -44,7 +47,7 @@ from .lshaped import (CutPool, OptimalityCut, build_master, cuts_from_duals,
                       lshaped_solve, solve_subproblems, THETA_FLOOR,
                       THETA_FLOOR_MARGIN)
 from .model import (RiskMeasure, RiskSpec, TwoStageProblem, ValidationError,
-                    evaluate_solution)
+                    evaluate_solution, neutral_plan)
 
 MEMBERSHIP_TOL = 1e-9
 STALL_LIMIT = 3                         # equal-mass ties before halving xi
@@ -78,7 +81,7 @@ class AsdBoundsState:
     x_hat: np.ndarray
     x_best: np.ndarray
     totals: np.ndarray                  # exact per-scenario totals at x_hat
-    q_expectation: float                # risk-neutral optimal value
+    q_expectation: float                # risk-neutral optimum (see initialize)
     s_plus: list = field(default_factory=list)
     s_minus: list = field(default_factory=list)
     xi: float = 0.0
@@ -134,13 +137,26 @@ def excess_mean_cut(problem, rho, x, eta, backend=None, threads=None):
                          origin="excess-mean")
 
 
+def _neutral_start(problem, backend):
+    """The risk-neutral optimal first stage and value.
+
+    They come from ``model.neutral_plan`` on small all-binary problems and
+    from a solve of the neutral extensive form on ``backend`` otherwise.
+    Either way the value is that form's objective vector times the plan,
+    the product ``solve_mip`` returns.
+    """
+    program = build_dep_expectation(problem).program
+    plan = neutral_plan(problem)
+    if plan is None:
+        neutral = optimal(backend.solve_mip(program), "risk-neutral extensive form")
+        return neutral.x[:problem.n1], neutral.objective
+    return plan[:problem.n1].copy(), float(program.lp.objective @ plan)
+
+
 def initialize(problem: TwoStageProblem, config: AsdBoundsConfig) -> AsdBoundsState:
-    """Risk-neutral solve, target seeding, and first bound pair."""
+    """Risk-neutral optimum, target seeding, and first bound pair."""
     backend = get_backend(config.backend)
-    neutral = optimal(backend.solve_mip(build_dep_expectation(problem).program),
-                      "risk-neutral extensive form")
-    x_hat = neutral.x[:problem.n1]
-    q_exp = neutral.objective
+    x_hat, q_exp = _neutral_start(problem, backend)
     eta = q_exp
     scale = max(1.0, abs(q_exp))
     epsilon = config.epsilon if config.epsilon is not None else 1e-4 * scale

@@ -502,10 +502,26 @@ def _render_plots(table, out_dir):
 # rerun
 
 
+def _fits(action, value):
+    """Whether a manifest value has the JSON type that action parses to;
+    a bool is no number."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if action.type is int:
+        return isinstance(value, int)
+    if action.type is float:
+        return isinstance(value, (int, float))
+    if action.nargs == "+":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, str)
+
+
 def _check_config(parser, cfg):
     """Raise UsageError unless cfg has a key for every argument of parser,
-    each within the argument's choices; the chosen subcommand's parser is
-    checked in turn."""
+    each null or of the argument's type and within its choices; the chosen
+    subcommand's parser is checked in turn."""
     missing = []
     for action in parser._actions:
         key = action.dest
@@ -513,6 +529,8 @@ def _check_config(parser, cfg):
             continue
         if key not in cfg:
             missing.append(key)
+        elif cfg[key] is not None and not _fits(action, cfg[key]):
+            raise UsageError(f"manifest {key} {cfg[key]!r} has the wrong type")
         elif action.choices is not None:
             if cfg[key] not in action.choices:
                 raise UsageError(f"unknown {key} {cfg[key]!r}")

@@ -32,7 +32,14 @@ FEASIBILITY_TOL = 1e-8
 # All-binary recourse with at most this many columns is valued by testing
 # every y in {0,1}^n2 (4096 points at the cap) instead of by a MIP solve.
 MAX_ENUMERATED_N2 = 12
+# An all-binary first stage with at most this many columns may be searched
+# point by point: by the oracle, and by neutral_plan when the recourse is
+# enumerable too.
+MAX_ENUMERATED_N1 = 12
 ENUMERATION_TOL = 1e-9
+# neutral_plan tests at most this many (x, y) pairs at once, each with
+# m2 + 9 bytes of temporaries (fit masks and a cost).
+ENUMERATION_PAIRS = 1 << 18
 
 
 class ValidationError(ValueError):
@@ -242,12 +249,25 @@ def second_stage_program(problem, x, index):
     return MixedBinaryProgram(lp=lp, binary=s.integrality.copy())
 
 
-@functools.lru_cache(maxsize=MAX_ENUMERATED_N2 + 1)
+@functools.lru_cache(maxsize=max(MAX_ENUMERATED_N1, MAX_ENUMERATED_N2) + 1)
 def _binary_points(n):
     """Every point of {0,1}^n, one per row, in lexicographic order."""
     points = np.array(list(itertools.product((0.0, 1.0), repeat=n))).reshape(-1, n)
     points.setflags(write=False)
     return points
+
+
+def _first_cheapest(s, need):
+    """The row of _binary_points(s.n2) holding the first cheapest y with
+    W y >= need, or -1 where none fits; need is (m2,) or (k, m2), for one
+    answer per row."""
+    ys = _binary_points(s.n2)
+    # W y for every y, one row of the table per row of W: reducing over
+    # that short axis of a (..., m2, 2^n2) mask is several times faster
+    loads = (ys @ s.recourse.T).T.copy()
+    fits = (loads >= need[..., None]).all(axis=-2)
+    best = np.argmin(np.where(fits, ys @ s.cost, np.inf), axis=-1)
+    return np.where(fits.any(axis=-1), best, -1)
 
 
 def _no_recourse(index, x):
@@ -271,13 +291,11 @@ def evaluate_scenario_cost(problem, x, index, backend=None):
     """
     s = problem.scenarios[index]
     if s.n2 <= MAX_ENUMERATED_N2 and s.integrality.all():
-        ys = _binary_points(s.n2)
         need = s.rhs - s.technology @ x - ENUMERATION_TOL
-        fits = (ys @ s.recourse.T >= need).all(axis=1)
-        if not fits.any():
+        best = _first_cheapest(s, need)
+        if best < 0:
             raise _no_recourse(index, x)
-        best = int(np.argmin(np.where(fits, ys @ s.cost, np.inf)))
-        return float(s.cost @ ys[best])
+        return float(s.cost @ _binary_points(s.n2)[best])
     backend = get_backend(backend)
     prog = second_stage_program(problem, x, index)
     sol = backend.solve_mip(prog)
@@ -286,6 +304,48 @@ def evaluate_scenario_cost(problem, x, index, backend=None):
     if sol.status == UNBOUNDED:
         raise SolveFailed(f"scenario {index} recourse is unbounded below", UNBOUNDED)
     return float(optimal(sol, f"scenario {index} recourse solve").objective)
+
+
+def neutral_plan(problem):
+    """The risk-neutral optimum by enumeration, as one extensive-form vector.
+
+    Returns None unless the first stage is all binary with n1 <=
+    MAX_ENUMERATED_N1 and every scenario's recourse is all binary with
+    n2 <= MAX_ENUMERATED_N2.  Otherwise goes through x in {0,1}^n1 in
+    lexicographic order, keeps those that pass first_stage_feasible's test,
+    and takes the first minimiser of c'x + sum_w p_w q_w'y_w, with each y_w
+    picked by evaluate_scenario_cost's rule.  The result stacks x and each
+    scenario's y, the extensive form's column layout.  Raises SolveFailed
+    (infeasible) when no x has fitting recourse in every scenario.
+    """
+    n1, n2 = problem.n1, problem.n2
+    if not (n1 <= MAX_ENUMERATED_N1 and n2 <= MAX_ENUMERATED_N2
+            and problem.first_stage_integrality.all()
+            and all(s.integrality.all() for s in problem.scenarios)):
+        return None
+    xs = _binary_points(n1)
+    xs = xs[(xs @ problem.first_stage_matrix.T
+             >= problem.first_stage_rhs - FEASIBILITY_TOL).all(axis=1)]
+    ys = _binary_points(n2)
+    chunk = max(1, ENUMERATION_PAIRS // len(ys))
+    best_value, best = np.inf, None
+    for start in range(0, len(xs), chunk):
+        x = xs[start:start + chunk]
+        value = x @ problem.first_stage_cost
+        picks = []
+        for s in problem.scenarios:
+            pick = _first_cheapest(s, s.rhs - x @ s.technology.T - ENUMERATION_TOL)
+            cost = np.where(pick >= 0, (ys @ s.cost)[pick], np.inf)
+            value = value + s.probability * cost
+            picks.append(pick)
+        k = int(np.argmin(value))
+        if value[k] < best_value:
+            best_value = value[k]
+            best = np.concatenate([x[k]] + [ys[pick[k]] for pick in picks])
+    if best is None:
+        raise SolveFailed("risk-neutral extensive form came back infeasible",
+                          INFEASIBLE)
+    return best
 
 
 def scenario_costs(problem, x, backend=None, threads=None):

@@ -10,7 +10,8 @@ solves continuous or mixed recourse on the backend.  That shared
 enumeration is checked bit for bit against HiGHS in ``tests/test_model.py``
 and independently by ``bench/workloads.enumerated_optimum``.  Scale caps
 keep enumeration honest; anything larger is refused with a ``ValueError``,
-not sampled.
+not sampled.  The n1 and n2 caps are ``model``'s ``MAX_ENUMERATED_N1`` and
+``MAX_ENUMERATED_N2``, which also bound ``model.neutral_plan``.
 """
 from __future__ import annotations
 
@@ -22,11 +23,10 @@ import numpy as np
 from .backend import get_backend
 from .lshaped import solve_subproblems
 from .model import (
-    MAX_ENUMERATED_N2 as MAX_N2, RiskMeasure, RiskSpec, TwoStageProblem,
-    scenario_costs,
+    MAX_ENUMERATED_N1 as MAX_N1, MAX_ENUMERATED_N2 as MAX_N2, RiskMeasure,
+    RiskSpec, TwoStageProblem, scenario_costs,
 )
 
-MAX_N1 = 12
 MAX_SCENARIOS = 10
 FEAS_TOL = 1e-9
 

@@ -12,14 +12,15 @@ from riskshed.asd_bounds import (
     AsdBoundsConfig, AsdBoundsState, adjust_target, excess_mean_cut,
     initialize, rm_asd_solve,
 )
-from riskshed.backend import ScipyBackend
+from riskshed.backend import ScipyBackend, SolveFailed, optimal
 from riskshed.dep import build_dep_absolute_semideviation, build_dep_expectation
 from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
 from riskshed.lshaped import CutPool, solve_subproblems
-from riskshed.model import RiskMeasure, RiskSpec, evaluate_objective
+from riskshed.model import (RiskMeasure, RiskSpec, Scenario, TwoStageProblem,
+                            evaluate_objective)
 from riskshed.oracle import brute_force_optimum
 
-from conftest import svc_problem
+from conftest import NoSolver, svc_problem
 
 
 def small_knapsack(seed):
@@ -151,6 +152,57 @@ def test_initialize_seeds_eta_at_neutral_value():
     assert state.lower >= state.q_expectation - 1e-9
     assert len(state.pool) > 0           # warm-started inner pool
     assert state.history[0]["event"] == "init"
+
+
+def highs_neutral_start(problem):
+    sol = optimal(ScipyBackend().solve_mip(build_dep_expectation(problem).program),
+                  "risk-neutral extensive form")
+    return sol.x[:problem.n1], sol.objective
+
+
+@pytest.mark.parametrize("shape, seeds", [
+    ((6, 6, 4), range(20)),         # acceptance criterion 4
+    ((10, 12, 5), range(4)),        # n2 at the enumeration cap
+], ids=["criterion-4", "K.10.12.5"])
+def test_neutral_start_enumerates_the_highs_optimum(shape, seeds):
+    for seed in seeds:
+        problem = generate_knapsack(KnapsackGenSpec(*shape, seed=seed, m1=3, m2=4))
+        x_hat, q_exp = asd_bounds._neutral_start(problem, NoSolver())
+        want_x, want_q = highs_neutral_start(problem)
+        # HiGHS's snapped x can hold -0.0 for a binary at 0 (K.10.12.5 seed
+        # 2); enumeration gives +0.0, so x is compared by value
+        assert np.array_equal(x_hat, want_x) and not np.signbit(x_hat).any(), seed
+        assert q_exp.hex() == want_q.hex(), seed
+
+
+def one_scenario_problem(first_stage_rhs):
+    # x >= first_stage_rhs, and y >= 2 asks more of a binary y than it has
+    s = Scenario(probability=1.0, cost=[1.0], technology=[[0.0]],
+                 recourse=[[1.0]], rhs=[2.0])
+    return TwoStageProblem(first_stage_cost=[1.0], first_stage_matrix=[[1.0]],
+                           first_stage_rhs=[first_stage_rhs], scenarios=[s])
+
+
+@pytest.mark.parametrize("first_stage_rhs", [0.0, 2.0],
+                         ids=["no-recourse", "no-first-stage"])
+def test_neutral_start_infeasible_like_highs(first_stage_rhs):
+    problem = one_scenario_problem(first_stage_rhs)
+    with pytest.raises(SolveFailed) as highs:
+        highs_neutral_start(problem)
+    with pytest.raises(SolveFailed) as enumerated:
+        initialize(problem, AsdBoundsConfig(rho=0.5, backend=NoSolver()))
+    assert str(enumerated.value) == str(highs.value)
+    assert enumerated.value.status == highs.value.status == "infeasible"
+
+
+def test_neutral_start_solves_mixed_recourse_on_the_backend():
+    # svc recourse has continuous slack columns: past the enumeration
+    problem = svc_problem(0)
+    backend = ScipyBackend()
+    x_hat, q_exp = asd_bounds._neutral_start(problem, backend)
+    assert backend.stats.mip_solves == 1 and backend.stats.lp_solves == 0
+    want_x, want_q = highs_neutral_start(problem)
+    assert x_hat.tobytes() == want_x.tobytes() and q_exp == want_q
 
 
 def test_fixed_point_iterations_issue_no_solves():

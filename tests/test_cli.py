@@ -811,7 +811,12 @@ def test_rerun_rejects_a_broken_config_before_writing(
     lambda config: config.update(method="benders"),
     lambda config: config.pop("node_cap"),
     lambda config: config.pop("risk"),
-], ids=["unknown-method", "no-node-cap", "no-risk"])
+    lambda config: config.update(node_cap="5"),
+    lambda config: config.update(threads=2.0),
+    lambda config: config.update(rho="0.5"),
+    lambda config: config.update(collapse_mean_row="true"),
+], ids=["unknown-method", "no-node-cap", "no-risk", "node-cap-string",
+        "threads-float", "rho-string", "collapse-mean-row-string"])
 def test_rerun_rejects_a_broken_solve_config(knap_file, tmp_path, capsys, edit):
     out = str(tmp_path / "a" / "n.result.json")
     os.makedirs(tmp_path / "a")
