@@ -316,7 +316,10 @@ def neutral_plan(problem):
     and takes the first minimiser of c'x + sum_w p_w q_w'y_w, with each y_w
     picked by evaluate_scenario_cost's rule.  The result stacks x and each
     scenario's y, the extensive form's column layout.  Raises SolveFailed
-    (infeasible) when no x has fitting recourse in every scenario.
+    (infeasible) when no x has fitting recourse in every scenario.  The
+    scenario count does not limit the rule: the work grows linearly in it,
+    and the extensive form's MIP solve grows faster (timed up to 500
+    scenarios).
     """
     n1, n2 = problem.n1, problem.n2
     if not (n1 <= MAX_ENUMERATED_N1 and n2 <= MAX_ENUMERATED_N2
@@ -335,8 +338,10 @@ def neutral_plan(problem):
         picks = []
         for s in problem.scenarios:
             pick = _first_cheapest(s, s.rhs - x @ s.technology.T - ENUMERATION_TOL)
-            cost = np.where(pick >= 0, (ys @ s.cost)[pick], np.inf)
-            value = value + s.probability * cost
+            # weight before masking: a scenario of probability 0 without
+            # fitting recourse must rule x out, and 0 * inf would be NaN
+            value = value + np.where(
+                pick >= 0, s.probability * (ys @ s.cost)[pick], np.inf)
             picks.append(pick)
         k = int(np.argmin(value))
         if value[k] < best_value:

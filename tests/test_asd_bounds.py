@@ -7,7 +7,7 @@ the upper bound achievable by the reported first stage.
 import numpy as np
 import pytest
 
-from riskshed import asd_bounds
+from riskshed import asd_bounds, model
 from riskshed.asd_bounds import (
     AsdBoundsConfig, AsdBoundsState, adjust_target, excess_mean_cut,
     initialize, rm_asd_solve,
@@ -193,6 +193,29 @@ def test_neutral_start_infeasible_like_highs(first_stage_rhs):
         initialize(problem, AsdBoundsConfig(rho=0.5, backend=NoSolver()))
     assert str(enumerated.value) == str(highs.value)
     assert enumerated.value.status == highs.value.status == "infeasible"
+
+
+def zero_probability_problem():
+    # the scenario of probability 0 fits recourse only when some x_i = 1, so
+    # it rules out x = 0, the cheapest first stage; the optimum is (0, 0, 1)
+    always = Scenario(probability=1.0, cost=[1.0], technology=[[0.0, 0.0, 0.0]],
+                      recourse=[[1.0]], rhs=[0.0])
+    strict = Scenario(probability=0.0, cost=[1.0], technology=[[1.0, 1.0, 1.0]],
+                      recourse=[[1.0]], rhs=[2.0])
+    return TwoStageProblem(first_stage_cost=[4.0, 2.0, 1.0],
+                           first_stage_matrix=[[0.0, 0.0, 0.0]],
+                           first_stage_rhs=[0.0], scenarios=[always, strict])
+
+
+@pytest.mark.parametrize("pairs", [1 << 18, 4], ids=["one-chunk", "chunks-of-2"])
+def test_neutral_start_respects_a_zero_probability_scenario(pairs, monkeypatch):
+    # in chunks of two x, the optimum shares its chunk with the ruled-out x = 0
+    monkeypatch.setattr(model, "ENUMERATION_PAIRS", pairs)
+    problem = zero_probability_problem()
+    x_hat, q_exp = asd_bounds._neutral_start(problem, NoSolver())
+    want_x, want_q = highs_neutral_start(problem)
+    assert np.array_equal(x_hat, want_x) and x_hat.tolist() == [0.0, 0.0, 1.0]
+    assert q_exp.hex() == want_q.hex()
 
 
 def test_neutral_start_solves_mixed_recourse_on_the_backend():
