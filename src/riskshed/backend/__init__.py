@@ -1,6 +1,7 @@
 """Desk-scale LP and binary-MIP solving with dual extraction.
 
-``ScipyBackend`` runs HiGHS through scipy; it is the one solver, behind
+``ScipyBackend`` runs HiGHS through scipy (LPs on its bundled HiGHS
+bindings, MIPs through ``milp``); it is the one solver, behind
 the ``Backend`` contract so that ``MemoBackend`` (which answers repeated
 programs from memory) and test doubles can stand in for it.
 ``get_backend`` gives a fresh ``ScipyBackend`` for ``None``.
@@ -30,16 +31,14 @@ class ScipyBackend(Backend):
         from . import scipy_backend
 
         sol = scipy_backend.solve_lp(lp)
-        self.stats.lp_solves += 1
-        self.stats.lp_iterations += sol.iterations
+        self.stats.add(lp_solves=1, lp_iterations=sol.iterations)
         return sol
 
     def solve_mip(self, mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP):
         from . import scipy_backend
 
         sol = scipy_backend.solve_mip(mip, gap_tol=gap_tol, node_cap=node_cap)
-        self.stats.mip_solves += 1
-        self.stats.nodes += sol.nodes
+        self.stats.add(mip_solves=1, nodes=sol.nodes)
         return sol
 
 

@@ -1,7 +1,8 @@
 """Matrix-form programs, solution records and the backend contract."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +71,8 @@ class LinearProgram:
                 raise ValueError(f"unknown sense {s!r}")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bound vectors must match the variable count")
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("bounds must not be NaN")
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective must be finite")
         if not (np.all(np.isfinite(self.lhs)) and np.all(np.isfinite(self.rhs))):
@@ -132,6 +135,16 @@ class SolveStats:
     mip_solves: int = 0
     lp_iterations: int = 0
     nodes: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
+
+    def add(self, lp_solves=0, mip_solves=0, lp_iterations=0, nodes=0):
+        """Add one solve's counts; pool threads share one SolveStats."""
+        with self._lock:
+            self.lp_solves += lp_solves
+            self.mip_solves += mip_solves
+            self.lp_iterations += lp_iterations
+            self.nodes += nodes
 
     def as_dict(self):
         return {

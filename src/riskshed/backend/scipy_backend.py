@@ -1,11 +1,22 @@
-"""The HiGHS backend, through scipy's ``linprog`` and ``milp``.
+"""The HiGHS backend: LPs on scipy's bundled HiGHS bindings, MIPs through
+scipy's ``milp``.
 
 scipy is a hard dependency and HiGHS is the package's one solver: every
 LP and MIP the package solves runs here.  Both read rows through one pair
-of sense masks (``_senses``): ``milp`` as row bounds, ``linprog`` as a
-``<=`` block with ``>=`` rows negated plus an equality block, its duals
-mapped back to the package convention (>= rows nonnegative, <= rows
-nonpositive, minimization).
+of sense masks (``_senses``).
+
+An LP goes straight to ``scipy.optimize._highspy._core``, the highspy
+bindings scipy bundles since 1.15, in the shape ``linprog(method="highs")``
+gave it, so that HiGHS sees the same input and returns the same bits: the
+``<=`` rows with ``>=`` rows negated, stacked above the ``=`` rows, as a
+column-wise matrix of the nonzeros.  HiGHS's infinity is IEEE infinity, so
+infinite bounds pass unchanged.  One ``HighsOptions``, built on import and
+never changed (worker threads share it), carries the five settings
+``linprog`` sent; each call gets a fresh ``_Highs``.  The status is read as
+``linprog`` read it, and so is its post-solve test: an "optimal" answer that
+holds a NaN, or breaks a bound or a row by more than ``_FEASIBILITY_TOL``,
+raises ``NumericalFailure``.  Duals are mapped back to the package
+convention (>= rows nonnegative, <= rows nonpositive, minimization).
 
 Every MIP solve gets the caller's relative gap and node cap plus one fixed
 HiGHS setting: the feasibility-jump primal heuristic is off.  The programs
@@ -22,11 +33,30 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import optimize as sciopt
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csc_array
 
 from .program import (
     DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LpSolution,
     MipSolution, NumericalFailure,
 )
+
+# linprog's post-solve tolerance: 10 * sqrt(tol) at its default tol 1e-9.
+_FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
+
+
+def _lp_options():
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
+_LP_OPTIONS = _lp_options()
+_STATUS = highs.HighsModelStatus
 
 
 def _senses(lp):
@@ -35,33 +65,77 @@ def _senses(lp):
     return senses == "<=", senses == ">="
 
 
+def _highs_lp(lp, a, row_lower, row_upper):
+    """A ``HighsLp`` over lp's columns with rows ``row_lower <= a x <= row_upper``."""
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
+    model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
+    model.col_cost_ = lp.objective
+    model.col_lower_ = lp.lower
+    model.col_upper_ = lp.upper
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
+    # Column-wise nonzeros, rows ascending within each column.
+    nonzero = a.T != 0
+    matrix = model.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    matrix.index_ = np.nonzero(nonzero)[1]
+    matrix.value_ = a.T[nonzero]
+    return model
+
+
+def _check_optimal(x, objective, lower, upper, slack, residual):
+    """Raise NumericalFailure unless an optimal answer is free of NaN and
+    meets its bounds, its ``<=`` rows (slack) and its ``=`` rows (residual)."""
+    tol = _FEASIBILITY_TOL
+    if (np.isnan(x).any() or np.isnan(objective) or np.isnan(slack).any()
+            or np.isnan(residual).any()
+            or not np.all((x >= lower - tol) & (x <= upper + tol))
+            or (slack < -tol).any() or (np.abs(residual) > tol).any()):
+        raise NumericalFailure(
+            f"HiGHS reported optimal, but its answer breaks a bound or a row "
+            f"by more than {tol:.2E}")
+
+
 def solve_lp(lp) -> LpSolution:
     le, ge = _senses(lp)
     ub = le | ge
     eq = ~ub
-    # linprog takes <= rows only: negate the >= rows, and their duals back.
+    # HiGHS gets <= rows only above the = rows: negate the >= rows, and
+    # their duals back.
     sign = np.where(ge, -1.0, 1.0)
-    res = sciopt.linprog(
-        c=lp.objective,
-        A_ub=lp.lhs[ub] * sign[ub, None] if ub.any() else None,
-        b_ub=lp.rhs[ub] * sign[ub] if ub.any() else None,
-        A_eq=lp.lhs[eq] if eq.any() else None,
-        b_eq=lp.rhs[eq] if eq.any() else None,
-        bounds=list(zip(lp.lower, lp.upper)),
-        method="highs",
-    )
-    if res.status == 2:
+    b_ub = lp.rhs[ub] * sign[ub]
+    b_eq = lp.rhs[eq]
+    a = np.vstack((lp.lhs[ub] * sign[ub, None], lp.lhs[eq]))
+    model = _highs_lp(lp, a, np.concatenate((np.full(b_ub.size, -highs.kHighsInf), b_eq)),
+                      np.concatenate((b_ub, b_eq)))
+    solver = highs._Highs()
+    solver.passOptions(_LP_OPTIONS)
+    loaded = solver.passModel(model) != highs.HighsStatus.kError
+    ran = loaded and solver.run() != highs.HighsStatus.kError
+    status = solver.getModelStatus() if loaded else _STATUS.kModelError
+    if status in (_STATUS.kInfeasible, _STATUS.kModelError):
         return LpSolution(status=INFEASIBLE)
-    if res.status == 3:
+    if status == _STATUS.kUnbounded:
         return LpSolution(status=UNBOUNDED)
-    if res.status != 0:
-        raise NumericalFailure(f"linprog failed: {res.message}")
+    if not ran or status != _STATUS.kOptimal:
+        raise NumericalFailure(
+            f"HiGHS LP solve ended {solver.modelStatusToString(status)}")
+    info = solver.getInfo()
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    rows = np.array(solution.row_value)
+    objective = info.objective_function_value
+    _check_optimal(x, objective, lp.lower, lp.upper,
+                   b_ub - rows[:b_ub.size], b_eq - rows[b_ub.size:])
+    row_duals = np.array(solution.row_dual)
     duals = np.zeros(lp.num_rows)
-    duals[ub] = sign[ub] * res.ineqlin.marginals
-    duals[eq] = res.eqlin.marginals
-    iters = int(getattr(res, "nit", 0) or 0)
-    return LpSolution(status=OPTIMAL, objective=float(res.fun), x=res.x.copy(),
-                      duals=duals, iterations=iters)
+    duals[ub] = sign[ub] * row_duals[:b_ub.size]
+    duals[eq] = row_duals[b_ub.size:]
+    iters = info.simplex_iteration_count or info.ipm_iteration_count
+    return LpSolution(status=OPTIMAL, objective=float(objective), x=x,
+                      duals=duals, iterations=int(iters))
 
 
 def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
@@ -71,9 +145,10 @@ def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
     ub = np.where(ge, np.inf, lp.rhs)
     lower = np.maximum(lp.lower, np.where(mip.binary, 0.0, lp.lower))
     upper = np.minimum(lp.upper, np.where(mip.binary, 1.0, lp.upper))
-    constraints = (
-        [sciopt.LinearConstraint(lp.lhs, lb, ub)] if lp.num_rows else []
-    )
+    # A sparse matrix, also with no rows: LinearConstraint converts a dense
+    # one under a process-wide "error" warning filter (scipy 1.17), and a
+    # pool thread's milp would then raise its option warning.
+    constraints = [sciopt.LinearConstraint(csc_array(lp.lhs), lb, ub)]
     options = {"mip_rel_gap": float(gap_tol), "node_limit": int(node_cap),
                # Feasibility jump takes ~8 ms to start on every call (HiGHS
                # 1.12, 2-core x86_64), more than these small MIPs take.

@@ -12,16 +12,22 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize as sciopt
 
+from riskshed.asd_bounds import AsdBoundsConfig, rm_asd_solve
 from riskshed.backend import (
     INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram, MemoBackend,
     MixedBinaryProgram, ScipyBackend, SolveFailed, get_backend, optimal,
 )
 from riskshed.backend import scipy_backend
+from riskshed.backend.program import NumericalFailure
 from riskshed.dep import build_dep_expectation
 from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
-from riskshed.model import RiskMeasure, RiskSpec
+from riskshed.lshaped import solve_subproblems
+from riskshed.model import RiskMeasure, RiskSpec, scenario_costs
 from riskshed.oracle import brute_force_optimum
+
+from conftest import svc_problem
 
 
 def random_lp(rng, n=6, m=4):
@@ -97,6 +103,10 @@ def test_lhs_must_be_a_matrix_with_or_without_rows():
     with pytest.raises(ValueError, match="lhs must be 2-dimensional"):
         LinearProgram(objective=[1.0, 1.0], lhs=[1.0, 1.0], senses=[">="],
                       rhs=[1.0], lower=[0.0, 0.0], upper=[1.0, 1.0])
+    for lower, upper in (([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [np.nan, 1.0])):
+        with pytest.raises(ValueError, match="bounds must not be NaN"):
+            LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, 1.0]], senses=[">="],
+                          rhs=[1.0], lower=lower, upper=upper)
     bounds_only = LinearProgram(objective=[1.0, -1.0], lhs=np.zeros((0, 2)),
                                 senses=[], rhs=[], lower=[0.0, 0.0],
                                 upper=[1.0, 1.0])
@@ -143,6 +153,117 @@ def test_equality_rows_and_free_variables():
     assert sol.status == OPTIMAL
     assert abs(sol.objective - 2.0) < 1e-9
     assert abs(sol.x[0] - sol.x[1] - 1.0) < 1e-9
+
+
+def _linprog_reference(lp):
+    """(status, objective, x, duals, iterations) of lp solved by
+    ``linprog(method="highs")``, with >= rows negated into the <= block and
+    their duals re-signed to the package convention."""
+    senses = np.array(lp.senses)
+    ub, ge = senses != "=", senses == ">="
+    sign = np.where(ge, -1.0, 1.0)
+    res = sciopt.linprog(
+        c=lp.objective,
+        A_ub=lp.lhs[ub] * sign[ub, None] if ub.any() else None,
+        b_ub=lp.rhs[ub] * sign[ub] if ub.any() else None,
+        A_eq=lp.lhs[~ub] if (~ub).any() else None,
+        b_eq=lp.rhs[~ub] if (~ub).any() else None,
+        bounds=list(zip(lp.lower, lp.upper)), method="highs")
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
+    if status != OPTIMAL:
+        return status, None, None, None, 0
+    duals = np.zeros(lp.num_rows)
+    duals[ub] = sign[ub] * res.ineqlin.marginals
+    duals[~ub] = res.eqlin.marginals
+    return status, float(res.fun), res.x, duals, res.nit
+
+
+def _subproblem_lps(problem, rho, max_iters):
+    """The scenario subproblem LPs that solve_subproblems builds: those of
+    one rm_asd_solve run, then at every binary x at the run's first and
+    last target eta."""
+    lps = []
+
+    class Recording(ScipyBackend):
+        def solve_lp(self, lp):
+            lps.append(lp)
+            return super().solve_lp(lp)
+
+    backend = Recording()
+    state = rm_asd_solve(problem, AsdBoundsConfig(rho=rho, max_iters=max_iters,
+                                                  backend=backend))
+    for k in range(2 ** problem.n1):
+        x = np.array([(k >> j) & 1 for j in range(problem.n1)], dtype=float)
+        for eta in (state.q_expectation, state.eta):
+            solve_subproblems(problem, rho, x, eta, backend)
+    return lps
+
+
+def _reference_lps():
+    rng = np.random.default_rng(5)
+    lps = [random_lp(rng) for _ in range(5)]
+    lps.append(LinearProgram(objective=[-1.0, -2.0], lhs=[[1.0, 1.0], [0.0, 1.0]],
+                             senses=["<=", "<="], rhs=[3.0, 2.0], lower=[0.0, 0.0],
+                             upper=[np.inf, np.inf]))
+    for _ in range(10):
+        A = rng.uniform(-2.0, 3.0, (6, 5))
+        senses = list(rng.choice(["<=", "=", ">="], 6))
+        slack = np.select([np.array(senses) == "<=", np.array(senses) == ">="],
+                          [1.0, -1.0], 0.0)
+        lps.append(LinearProgram(objective=rng.uniform(-5.0, 5.0, 5), lhs=A,
+                                 senses=senses, rhs=A @ np.full(5, 0.5) + slack,
+                                 lower=np.zeros(5), upper=np.ones(5)))
+    lps.append(LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, -1.0], [1.0, 1.0]],
+                             senses=["=", ">="], rhs=[1.0, 2.0],
+                             lower=[0.0, -np.inf], upper=[np.inf, np.inf]))
+    lps.append(LinearProgram(objective=[1.0], lhs=[[1.0], [-1.0]],
+                             senses=[">=", ">="], rhs=[2.0, -1.0],
+                             lower=[0.0], upper=[np.inf]))
+    lps.append(LinearProgram(objective=[-1.0], lhs=[[0.0]], senses=["<="],
+                             rhs=[1.0], lower=[0.0], upper=[np.inf]))
+    knapsack = generate_knapsack(KnapsackGenSpec(6, 6, 4, seed=0, m1=3, m2=4))
+    return (lps + _subproblem_lps(knapsack, 0.5, 15)
+            + _subproblem_lps(svc_problem(0), 0.5, 12))
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+def test_lp_answers_match_linprog_bit_for_bit():
+    lps = _reference_lps()
+    statuses = set()
+    for k, lp in enumerate(lps):
+        sol = ScipyBackend().solve_lp(lp)
+        status, objective, x, duals, iterations = _linprog_reference(lp)
+        statuses.add(status)
+        assert sol.status == status, k
+        assert _bits(sol.objective) == _bits(objective), k
+        assert _bits(sol.x) == _bits(x), k
+        assert _bits(sol.duals) == _bits(duals), k
+        assert sol.iterations == iterations, k
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED} and len(lps) > 700
+
+
+def test_an_optimal_answer_off_its_bounds_or_rows_fails():
+    x, lower, upper = np.array([0.5, 1.0]), np.zeros(2), np.ones(2)
+    slack, residual = np.array([0.0, 2.0]), np.array([0.0])
+    scipy_backend._check_optimal(x, 1.0, lower, upper, slack, residual)
+    doctored = [
+        (np.array([0.5, 1.001]), 1.0, slack, residual),      # above a bound
+        (np.array([-0.001, 1.0]), 1.0, slack, residual),     # below a bound
+        (x, 1.0, np.array([-0.001, 2.0]), residual),          # a <= row broken
+        (x, 1.0, slack, np.array([0.001])),                   # an = row broken
+        (x, 1.0, slack, np.array([-0.001])),
+        (np.array([np.nan, 1.0]), 1.0, slack, residual),
+        (x, np.nan, slack, residual),
+        (x, 1.0, np.array([np.nan, 2.0]), residual),
+        (x, 1.0, slack, np.array([np.nan])),
+    ]
+    for x_bad, objective, slack_bad, residual_bad in doctored:
+        with pytest.raises(NumericalFailure):
+            scipy_backend._check_optimal(x_bad, objective, lower, upper,
+                                         slack_bad, residual_bad)
 
 
 def _hand_knapsack():
@@ -240,6 +361,26 @@ def test_backend_stats_accumulate():
     be.solve_lp(lp)
     assert be.stats.lp_solves == 2
     assert be.stats.as_dict()["lp_solves"] == 2
+
+
+def test_counters_are_exact_under_threads():
+    # svc recourse has paid slack columns, so scenario_costs solves MIPs
+    problem = svc_problem(3)
+    xs = [np.array([(k >> j) & 1 for j in range(5)], dtype=float) for k in range(32)]
+    counters = {}
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 4):
+            backend = ScipyBackend()
+            for x in xs:
+                solve_subproblems(problem, 0.5, x, 10.0, backend, threads=threads)
+                scenario_costs(problem, x, backend=backend, threads=threads)
+            counters[threads] = backend.stats.as_dict()
+    finally:
+        sys.setswitchinterval(previous)
+    assert counters[1]["lp_solves"] == counters[1]["mip_solves"] == 32 * 4
+    assert counters[4] == counters[1]
 
 
 def test_memo_backend_solves_each_program_once():
