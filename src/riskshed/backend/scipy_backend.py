@@ -200,5 +200,6 @@ def _nodes(res):
 
 def _snap(x, binary):
     x = np.asarray(x, dtype=float).copy()
-    x[binary] = np.round(x[binary])
+    # + 0.0 turns the -0.0 that rounding a tiny negative value gives into 0.0
+    x[binary] = np.round(x[binary]) + 0.0
     return x

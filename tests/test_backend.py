@@ -282,6 +282,14 @@ def test_mip_hand_knapsack():
     assert np.allclose(sol.x, [1.0, 1.0, 0.0])
 
 
+def test_mip_binaries_carry_no_negative_zero():
+    # HiGHS returns some of these binaries just below 0
+    problem = generate_knapsack(KnapsackGenSpec(10, 12, 5, seed=2, m1=3, m2=4))
+    sol = ScipyBackend().solve_mip(build_dep_expectation(problem).program)
+    assert sol.status == OPTIMAL
+    assert not np.signbit(sol.x[sol.x == 0.0]).any()
+
+
 def test_mip_proves_infeasible():
     mip = MixedBinaryProgram(
         lp=LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, 1.0], [-1.0, -1.0]],
