@@ -102,8 +102,8 @@ def solve_lp(lp) -> LpSolution:
     le, ge = _senses(lp)
     ub = le | ge
     eq = ~ub
-    # HiGHS gets <= rows only above the = rows: negate the >= rows, and
-    # their duals back.
+    # HiGHS gets the rows as linprog passed them, <= rows above = rows:
+    # negate the >= rows, and their duals back.
     sign = np.where(ge, -1.0, 1.0)
     b_ub = lp.rhs[ub] * sign[ub]
     b_eq = lp.rhs[eq]

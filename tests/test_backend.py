@@ -43,9 +43,9 @@ def random_lp(rng, n=6, m=4):
     )
 
 
-def test_hand_lp_with_duals():
+def hand_lp():
     # min -x1 - 2 x2  s.t.  x1 + x2 <= 3, x2 <= 2, x >= 0 -> (1, 2), -5
-    lp = LinearProgram(
+    return LinearProgram(
         objective=[-1.0, -2.0],
         lhs=[[1.0, 1.0], [0.0, 1.0]],
         senses=["<=", "<="],
@@ -53,7 +53,39 @@ def test_hand_lp_with_duals():
         lower=[0.0, 0.0],
         upper=[np.inf, np.inf],
     )
-    sol = ScipyBackend().solve_lp(lp)
+
+
+def mixed_sense_lp(rng, n=5, m=6):
+    # rows of every sense around a known interior point: always feasible
+    A = rng.uniform(-2.0, 3.0, (m, n))
+    senses = list(rng.choice(["<=", "=", ">="], m))
+    slack = np.select([np.array(senses) == "<=", np.array(senses) == ">="],
+                      [1.0, -1.0], 0.0)
+    return LinearProgram(objective=rng.uniform(-5.0, 5.0, n), lhs=A,
+                         senses=senses, rhs=A @ np.full(n, 0.5) + slack,
+                         lower=np.zeros(n), upper=np.ones(n))
+
+
+def free_variable_lp():
+    # min x + y  s.t.  x - y = 1,  x + y >= 2,  y free
+    return LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, -1.0], [1.0, 1.0]],
+                         senses=["=", ">="], rhs=[1.0, 2.0],
+                         lower=[0.0, -np.inf], upper=[np.inf, np.inf])
+
+
+def infeasible_lp():
+    return LinearProgram(objective=[1.0], lhs=[[1.0], [-1.0]],
+                         senses=[">=", ">="], rhs=[2.0, -1.0],
+                         lower=[0.0], upper=[np.inf])
+
+
+def unbounded_lp():
+    return LinearProgram(objective=[-1.0], lhs=[[0.0]], senses=["<="],
+                         rhs=[1.0], lower=[0.0], upper=[np.inf])
+
+
+def test_hand_lp_with_duals():
+    sol = ScipyBackend().solve_lp(hand_lp())
     assert sol.status == OPTIMAL
     assert abs(sol.objective - (-5.0)) < 1e-9
     assert np.allclose(sol.x, [1.0, 2.0], atol=1e-9)
@@ -78,21 +110,14 @@ def test_lp_duals_certify_objective():
 
 
 def test_mixed_senses_duals_follow_the_convention():
-    # rows of every sense around a known interior point: always feasible
     rng = np.random.default_rng(5)
     backend = ScipyBackend()
     for trial in range(25):
-        n, m = 5, 6
-        A = rng.uniform(-2.0, 3.0, (m, n))
-        senses = list(rng.choice(["<=", "=", ">="], m))
-        slack = np.select([np.array(senses) == "<=", np.array(senses) == ">="],
-                          [1.0, -1.0], 0.0)
-        lp = LinearProgram(objective=rng.uniform(-5.0, 5.0, n), lhs=A,
-                           senses=senses, rhs=A @ np.full(n, 0.5) + slack,
-                           lower=np.zeros(n), upper=np.ones(n))
+        lp = mixed_sense_lp(rng)
         sol = backend.solve_lp(lp)
         assert sol.status == OPTIMAL
-        le, ge = slack > 0, slack < 0
+        senses = np.array(lp.senses)
+        le, ge = senses == "<=", senses == ">="
         assert np.all(sol.duals[le] <= 1e-9) and np.all(sol.duals[ge] >= -1e-9)
         rc = lp.objective - lp.lhs.T @ sol.duals
         dual_obj = sol.duals @ lp.rhs + lp.upper @ np.minimum(rc, 0.0)
@@ -119,13 +144,8 @@ def test_lhs_must_be_a_matrix_with_or_without_rows():
 
 
 def test_lp_infeasible_and_unbounded():
-    bad = LinearProgram(objective=[1.0], lhs=[[1.0], [-1.0]],
-                        senses=[">=", ">="], rhs=[2.0, -1.0],
-                        lower=[0.0], upper=[np.inf])
-    assert ScipyBackend().solve_lp(bad).status == INFEASIBLE
-    free = LinearProgram(objective=[-1.0], lhs=[[0.0]], senses=["<="],
-                         rhs=[1.0], lower=[0.0], upper=[np.inf])
-    assert ScipyBackend().solve_lp(free).status == UNBOUNDED
+    assert ScipyBackend().solve_lp(infeasible_lp()).status == INFEASIBLE
+    assert ScipyBackend().solve_lp(unbounded_lp()).status == UNBOUNDED
 
 
 def test_optimal_raises_solve_failed_with_the_status():
@@ -145,11 +165,7 @@ def test_optimal_raises_solve_failed_with_the_status():
 
 
 def test_equality_rows_and_free_variables():
-    # min x + y  s.t.  x - y = 1,  x + y >= 2,  y free
-    lp = LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, -1.0], [1.0, 1.0]],
-                       senses=["=", ">="], rhs=[1.0, 2.0],
-                       lower=[0.0, -np.inf], upper=[np.inf, np.inf])
-    sol = ScipyBackend().solve_lp(lp)
+    sol = ScipyBackend().solve_lp(free_variable_lp())
     assert sol.status == OPTIMAL
     assert abs(sol.objective - 2.0) < 1e-9
     assert abs(sol.x[0] - sol.x[1] - 1.0) < 1e-9
@@ -201,26 +217,9 @@ def _subproblem_lps(problem, rho, max_iters):
 
 def _reference_lps():
     rng = np.random.default_rng(5)
-    lps = [random_lp(rng) for _ in range(5)]
-    lps.append(LinearProgram(objective=[-1.0, -2.0], lhs=[[1.0, 1.0], [0.0, 1.0]],
-                             senses=["<=", "<="], rhs=[3.0, 2.0], lower=[0.0, 0.0],
-                             upper=[np.inf, np.inf]))
-    for _ in range(10):
-        A = rng.uniform(-2.0, 3.0, (6, 5))
-        senses = list(rng.choice(["<=", "=", ">="], 6))
-        slack = np.select([np.array(senses) == "<=", np.array(senses) == ">="],
-                          [1.0, -1.0], 0.0)
-        lps.append(LinearProgram(objective=rng.uniform(-5.0, 5.0, 5), lhs=A,
-                                 senses=senses, rhs=A @ np.full(5, 0.5) + slack,
-                                 lower=np.zeros(5), upper=np.ones(5)))
-    lps.append(LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, -1.0], [1.0, 1.0]],
-                             senses=["=", ">="], rhs=[1.0, 2.0],
-                             lower=[0.0, -np.inf], upper=[np.inf, np.inf]))
-    lps.append(LinearProgram(objective=[1.0], lhs=[[1.0], [-1.0]],
-                             senses=[">=", ">="], rhs=[2.0, -1.0],
-                             lower=[0.0], upper=[np.inf]))
-    lps.append(LinearProgram(objective=[-1.0], lhs=[[0.0]], senses=["<="],
-                             rhs=[1.0], lower=[0.0], upper=[np.inf]))
+    lps = [hand_lp(), free_variable_lp(), infeasible_lp(), unbounded_lp()]
+    lps += [random_lp(rng) for _ in range(5)]
+    lps += [mixed_sense_lp(rng) for _ in range(10)]
     knapsack = generate_knapsack(KnapsackGenSpec(6, 6, 4, seed=0, m1=3, m2=4))
     return (lps + _subproblem_lps(knapsack, 0.5, 15)
             + _subproblem_lps(svc_problem(0), 0.5, 12))
