@@ -38,10 +38,10 @@ and 0.9 on the sixteen M.4.8.5 instances of the benchmark's
 16*SEED..16*SEED+15; collapsed mean row, gap 1e-4, as the workload's
 ``solve`` calls) and on the twenty criterion-4 knapsack instances
 (per-scenario mean rows, gap 0), and writes each objective, first-stage
-vector, binary mask and solve time.  It also writes, per instance and
-rho, a digest (``riskshed.backend.memo._digest``: objective, matrix,
-senses, rhs, bounds and binary mask) of the program every builder
-assembles: the neutral form, both excess forms at eta ``DIGEST_ETA`` and
+vector, binary mask, proven bound, node count and solve time.  It also
+writes, per instance and rho, a digest (``riskshed.backend.memo._digest``:
+objective, matrix, senses, rhs, bounds and binary mask) of the program
+every builder assembles: the neutral form, both excess forms at eta ``DIGEST_ETA`` and
 the semideviation form with and without the collapsed mean row; these
 are built, not solved.  ``dep-compare`` prints, per batch,
 the largest relative objective difference, whether the binary first-stage
@@ -49,7 +49,9 @@ values match, the largest continuous first-stage difference and both
 sides' total solve time, and lists every instance past 1e-9 relative, a
 binary mismatch or 1e-6 continuous with both objectives, and every
 instance whose program digests differ, with the builders that differ;
-the exit status is 1 when any instance is listed.
+it also lists every solve whose bound (bit for bit) or node count
+differs, and reads a dump that lacks them as "not recorded".  The exit
+status is 1 when any instance is listed.
 
     PYTHONPATH=<tree A>/src python demos/driver_equivalence.py cli-dump a.json
     PYTHONPATH=<tree B>/src python demos/driver_equivalence.py cli-dump b.json
@@ -255,7 +257,8 @@ def dep_dump(path, seed=0):
                 "batch": batch, "seed": instance_seed, "rho": rho, "status": sol.status,
                 "objective": _hex(sol.objective),
                 "x": _hex(art.first_stage_values(sol.x)),
-                "binary": problem.first_stage_integrality.tolist(), "seconds": seconds,
+                "binary": problem.first_stage_integrality.tolist(),
+                "bound": _hex(sol.bound), "nodes": sol.nodes, "seconds": seconds,
                 "digests": _program_digests(problem, rho)})
             print(f"{batch} {instance_seed:3d} rho {rho} {sol.objective:.10g} "
                   f"{seconds:.3f} s", flush=True)
@@ -288,6 +291,13 @@ def dep_compare(path_a, path_b):
                 print(f"  {batch} seed {ra['seed']} rho {ra['rho']}: objective "
                       f"{oa!r} vs {ob!r}, binaries {'match' if same_bin else 'differ'}, "
                       f"continuous {cont:.3g}")
+            effort = [f"{key} {ra.get(key, 'not recorded')} vs "
+                      f"{rb.get(key, 'not recorded')}"
+                      for key in ("bound", "nodes") if ra.get(key) != rb.get(key)]
+            if effort:
+                listed += 1
+                print(f"  {batch} seed {ra['seed']} rho {ra['rho']}: "
+                      + ", ".join(effort))
             digests_a, digests_b = ra.get("digests", {}), rb.get("digests", {})
             differ = sorted(k for k in digests_a.keys() | digests_b.keys()
                             if digests_a.get(k) != digests_b.get(k))

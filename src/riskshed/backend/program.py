@@ -122,8 +122,8 @@ class MipSolution:
     x: np.ndarray | None = None      # binary columns are exactly 0.0 or 1.0
     bound: float | None = None       # proven lower bound (minimization)
     nodes: int = 0
-    # HiGHS through milp reports no LP iteration count, so this stays 0;
-    # bench/tracing.py still sums it over every solution.
+    # The MIP path does not read HiGHS's LP iteration count, so this stays
+    # 0; bench/tracing.py still sums it over every solution.
     iterations: int = 0
 
 

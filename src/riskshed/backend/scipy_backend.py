@@ -1,40 +1,37 @@
-"""The HiGHS backend: LPs on scipy's bundled HiGHS bindings, MIPs through
-scipy's ``milp``.
+"""The HiGHS backend: LPs and MIPs on scipy's bundled HiGHS bindings.
 
 scipy is a hard dependency and HiGHS is the package's one solver: every
-LP and MIP the package solves runs here.  Both read rows through one pair
-of sense masks (``_senses``).
+LP and MIP the package solves is built into one ``HighsLp``
+(``_highs_lp``) and run on a fresh ``_Highs`` from
+``scipy.optimize._highspy._core``, the highspy bindings scipy bundles since
+1.15.  Each gets the model and settings that ``linprog(method="highs")`` or
+``milp`` gave HiGHS, so it returns the same bits.  HiGHS's infinity is IEEE
+infinity, so infinite bounds pass unchanged.
 
-An LP goes straight to ``scipy.optimize._highspy._core``, the highspy
-bindings scipy bundles since 1.15, in the shape ``linprog(method="highs")``
-gave it, so that HiGHS sees the same input and returns the same bits: the
-``<=`` rows with ``>=`` rows negated, stacked above the ``=`` rows, as a
-column-wise matrix of the nonzeros.  HiGHS's infinity is IEEE infinity, so
-infinite bounds pass unchanged.  One ``HighsOptions``, built on import and
-never changed (worker threads share it), carries the five settings
-``linprog`` sent; each call gets a fresh ``_Highs``.  The status is read as
-``linprog`` read it, and so is its post-solve test: an "optimal" answer that
-holds a NaN, or breaks a bound or a row by more than ``_FEASIBILITY_TOL``,
-raises ``NumericalFailure``.  Duals are mapped back to the package
-convention (>= rows nonnegative, <= rows nonpositive, minimization).
+An LP's ``<=`` rows, with ``>=`` rows negated, sit above its ``=`` rows.
+One ``HighsOptions``, built on import and never changed (worker threads
+share it), carries the five settings ``linprog`` sent.  The status is read
+as ``linprog`` read it, and so is its post-solve test: an "optimal" answer
+that holds a NaN, or breaks a bound or a row by more than
+``_FEASIBILITY_TOL``, raises ``NumericalFailure``.  Duals are mapped back
+to the package convention (>= rows nonnegative, <= rows nonpositive).
 
-Every MIP solve gets the caller's relative gap and node cap plus one fixed
-HiGHS setting: the feasibility-jump primal heuristic is off.  The programs
-solved here are small and come by the thousand, and the heuristic's
-start-up took several times longer than the solve itself.  ``milp`` passes
-the option to HiGHS unchanged but warns about it on every call;
-``riskshed.backend`` filters that one warning on import, before this
-module (imported on first use, as scipy.optimize is slow to load) runs.
-A solve that stops at the node cap returns ``NODE_CAP`` with HiGHS's dual
-bound and the incumbent, if any.  A solve that stops on any other HiGHS
-error is retried once without presolve, with the same settings.
+A MIP keeps its rows in order, between limits, and its binary columns are
+integer with bounds clipped to [0, 1].  Every MIP solve gets the caller's
+gap and node cap, and the feasibility-jump heuristic is off: these MIPs
+are small and come by the thousand, and its start-up took several times
+longer than the solve.  A stop at the node cap returns ``NODE_CAP`` with
+HiGHS's dual bound and the incumbent, if any.  A HiGHS error is retried
+once without presolve, with the same settings.  Binaries come back as
+exact 0.0 or 1.0.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize as sciopt
+# Not called here: bench/tracing.py replaces this name with a timing proxy
+# when it installs, and needs it bound.
+from scipy import optimize as sciopt  # noqa: F401
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csc_array
 
 from .program import (
     DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LpSolution,
@@ -57,6 +54,11 @@ def _lp_options():
 
 _LP_OPTIONS = _lp_options()
 _STATUS = highs.HighsModelStatus
+# The statuses a MIP solve answers with; any other is a HiGHS error.
+# kSolutionLimit is HiGHS's stop at the node cap (mip_max_nodes).
+_MIP_ANSWERS = (_STATUS.kOptimal, _STATUS.kInfeasible, _STATUS.kModelError,
+                _STATUS.kUnbounded, _STATUS.kSolutionLimit)
+_VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
 
 
 def _senses(lp):
@@ -65,14 +67,15 @@ def _senses(lp):
     return senses == "<=", senses == ">="
 
 
-def _highs_lp(lp, a, row_lower, row_upper):
-    """A ``HighsLp`` over lp's columns with rows ``row_lower <= a x <= row_upper``."""
+def _highs_lp(objective, lower, upper, a, row_lower, row_upper):
+    """A ``HighsLp``: min objective'x, lower <= x <= upper,
+    row_lower <= a x <= row_upper."""
     model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
+    model.num_col_ = model.a_matrix_.num_col_ = objective.size
     model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
-    model.col_cost_ = lp.objective
-    model.col_lower_ = lp.lower
-    model.col_upper_ = lp.upper
+    model.col_cost_ = objective
+    model.col_lower_ = lower
+    model.col_upper_ = upper
     model.row_lower_ = row_lower
     model.row_upper_ = row_upper
     # Column-wise nonzeros, rows ascending within each column.
@@ -98,6 +101,18 @@ def _check_optimal(x, objective, lower, upper, slack, residual):
             f"by more than {tol:.2E}")
 
 
+def _run(model, options):
+    """model solved on a fresh HiGHS: the solver and its model status, which
+    is kModelError for a model HiGHS will not load.  A run that fails leaves
+    an error status, so the status is all a caller reads."""
+    solver = highs._Highs()
+    solver.passOptions(options)
+    if solver.passModel(model) == highs.HighsStatus.kError:
+        return solver, _STATUS.kModelError
+    solver.run()
+    return solver, solver.getModelStatus()
+
+
 def solve_lp(lp) -> LpSolution:
     le, ge = _senses(lp)
     ub = le | ge
@@ -108,18 +123,15 @@ def solve_lp(lp) -> LpSolution:
     b_ub = lp.rhs[ub] * sign[ub]
     b_eq = lp.rhs[eq]
     a = np.vstack((lp.lhs[ub] * sign[ub, None], lp.lhs[eq]))
-    model = _highs_lp(lp, a, np.concatenate((np.full(b_ub.size, -highs.kHighsInf), b_eq)),
+    model = _highs_lp(lp.objective, lp.lower, lp.upper, a,
+                      np.concatenate((np.full(b_ub.size, -highs.kHighsInf), b_eq)),
                       np.concatenate((b_ub, b_eq)))
-    solver = highs._Highs()
-    solver.passOptions(_LP_OPTIONS)
-    loaded = solver.passModel(model) != highs.HighsStatus.kError
-    ran = loaded and solver.run() != highs.HighsStatus.kError
-    status = solver.getModelStatus() if loaded else _STATUS.kModelError
+    solver, status = _run(model, _LP_OPTIONS)
     if status in (_STATUS.kInfeasible, _STATUS.kModelError):
         return LpSolution(status=INFEASIBLE)
     if status == _STATUS.kUnbounded:
         return LpSolution(status=UNBOUNDED)
-    if not ran or status != _STATUS.kOptimal:
+    if status != _STATUS.kOptimal:
         raise NumericalFailure(
             f"HiGHS LP solve ended {solver.modelStatusToString(status)}")
     info = solver.getInfo()
@@ -138,68 +150,59 @@ def solve_lp(lp) -> LpSolution:
                       duals=duals, iterations=int(iters))
 
 
+def _mip_options(gap_tol, node_cap, presolve=True):
+    """The settings ``milp`` sent HiGHS, on HiGHS's defaults otherwise."""
+    options = highs.HighsOptions()
+    options.log_to_console = False
+    options.mip_max_nodes = int(node_cap)
+    options.mip_rel_gap = float(gap_tol)
+    # Feasibility jump takes ~8 ms to start on every call (HiGHS 1.12,
+    # 2-core x86_64), more than these small MIPs take.
+    options.mip_heuristic_run_feasibility_jump = False
+    if not presolve:
+        options.presolve = "off"
+    return options
+
+
 def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
     lp = mip.lp
     le, ge = _senses(lp)
-    lb = np.where(le, -np.inf, lp.rhs)
-    ub = np.where(ge, np.inf, lp.rhs)
-    lower = np.maximum(lp.lower, np.where(mip.binary, 0.0, lp.lower))
-    upper = np.minimum(lp.upper, np.where(mip.binary, 1.0, lp.upper))
-    # A sparse matrix, also with no rows: LinearConstraint converts a dense
-    # one under a process-wide "error" warning filter (scipy 1.17), and a
-    # pool thread's milp would then raise its option warning.
-    constraints = [sciopt.LinearConstraint(csc_array(lp.lhs), lb, ub)]
-    options = {"mip_rel_gap": float(gap_tol), "node_limit": int(node_cap),
-               # Feasibility jump takes ~8 ms to start on every call (HiGHS
-               # 1.12, 2-core x86_64), more than these small MIPs take.
-               "mip_heuristic_run_feasibility_jump": False}
-
-    def run(**extra):
-        # milp pops keys from the dict it is given: pass a fresh one.
-        return sciopt.milp(c=lp.objective, constraints=constraints,
-                           integrality=mip.binary.astype(int),
-                           bounds=sciopt.Bounds(lower, upper),
-                           options={**options, **extra})
-
-    def capped(res):
-        # scipy 1.17 reports HiGHS's node-limit stop (its "solution limit",
-        # status 16) as status 4; older scipy reports status 1.
-        return res.status == 1 or (res.status == 4 and _nodes(res) >= node_cap)
-
-    res = run()
-    if res.status == 4 and not capped(res):
+    model = _highs_lp(lp.objective,
+                      np.maximum(lp.lower, np.where(mip.binary, 0.0, lp.lower)),
+                      np.minimum(lp.upper, np.where(mip.binary, 1.0, lp.upper)),
+                      lp.lhs, np.where(le, -np.inf, lp.rhs), np.where(ge, np.inf, lp.rhs))
+    model.integrality_ = [_VAR_TYPES[b] for b in mip.binary.tolist()]
+    solver, status = _run(model, _mip_options(gap_tol, node_cap))
+    if status not in _MIP_ANSWERS:
         # HiGHS can hit a solve error on small, badly scaled masters after
         # presolve (knapsack seed 659's bounding master); the unpresolved
         # model solves cleanly.
-        res = run(presolve=False)
-    if res.status == 2:
+        solver, status = _run(model, _mip_options(gap_tol, node_cap, presolve=False))
+    if status in (_STATUS.kInfeasible, _STATUS.kModelError):
         return MipSolution(status=INFEASIBLE)
-    if res.status == 3:
+    if status == _STATUS.kUnbounded:
         return MipSolution(status=UNBOUNDED)
-    nodes = _nodes(res)
-    if capped(res):
-        bound = getattr(res, "mip_dual_bound", None)
-        if res.x is None:
-            return MipSolution(status=NODE_CAP, bound=bound, nodes=nodes)
-        x = _snap(res.x, mip.binary)
-        return MipSolution(status=NODE_CAP, objective=float(lp.objective @ x), x=x,
-                           bound=bound, nodes=nodes)
-    if res.status != 0 or res.x is None:
-        raise NumericalFailure(f"milp failed: {res.message}")
-    x = _snap(res.x, mip.binary)
+    if status not in _MIP_ANSWERS:
+        raise NumericalFailure(
+            f"HiGHS MIP solve ended {solver.modelStatusToString(status)}")
+    info = solver.getInfo()
+    # With no binary column HiGHS solves an LP and leaves its MIP info unset.
+    nodes, dual = ((info.mip_node_count, info.mip_dual_bound) if mip.binary.any()
+                   else (0, np.inf))
+    capped = status == _STATUS.kSolutionLimit
+    if capped and info.objective_function_value == highs.kHighsInf:  # no incumbent
+        return MipSolution(status=NODE_CAP, bound=dual, nodes=nodes)
+    x = _snap(solver.getSolution().col_value, mip.binary)
     obj = float(lp.objective @ x)
+    if capped:
+        return MipSolution(status=NODE_CAP, objective=obj, x=x, bound=dual, nodes=nodes)
     # Within a gap the incumbent is no bound; HiGHS's dual bound is.
-    dual = getattr(res, "mip_dual_bound", None)
-    bound = obj if dual is None or not np.isfinite(dual) else min(float(dual), obj)
+    bound = min(dual, obj) if np.isfinite(dual) else obj
     return MipSolution(status=OPTIMAL, objective=obj, x=x, bound=bound, nodes=nodes)
 
 
-def _nodes(res):
-    return int(getattr(res, "mip_node_count", 0) or 0)
-
-
 def _snap(x, binary):
-    x = np.asarray(x, dtype=float).copy()
+    x = np.array(x, dtype=float)
     # + 0.0 turns the -0.0 that rounding a tiny negative value gives into 0.0
     x[binary] = np.round(x[binary]) + 0.0
     return x

@@ -13,18 +13,21 @@ import warnings
 import numpy as np
 import pytest
 from scipy import optimize as sciopt
+from scipy.sparse import csc_array
 
 from riskshed.asd_bounds import AsdBoundsConfig, rm_asd_solve
 from riskshed.backend import (
-    INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram, MemoBackend,
-    MixedBinaryProgram, ScipyBackend, SolveFailed, get_backend, optimal,
+    DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LinearProgram,
+    MemoBackend, MixedBinaryProgram, ScipyBackend, SolveFailed, get_backend,
+    optimal,
 )
 from riskshed.backend import scipy_backend
 from riskshed.backend.program import NumericalFailure
-from riskshed.dep import build_dep_expectation
+from riskshed.dep import build_dep_absolute_semideviation, build_dep_expectation
 from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
-from riskshed.lshaped import solve_subproblems
+from riskshed.lshaped import lshaped_solve, solve_subproblems
 from riskshed.model import RiskMeasure, RiskSpec, scenario_costs
+from riskshed.mssop import build_mssop_two_stage, generate_mssop_instance
 from riskshed.oracle import brute_force_optimum
 
 from conftest import svc_problem
@@ -289,13 +292,16 @@ def test_mip_binaries_carry_no_negative_zero():
     assert not np.signbit(sol.x[sol.x == 0.0]).any()
 
 
-def test_mip_proves_infeasible():
-    mip = MixedBinaryProgram(
+def _infeasible_mip():
+    return MixedBinaryProgram(
         lp=LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, 1.0], [-1.0, -1.0]],
                          senses=[">=", ">="], rhs=[1.5, -0.4],
                          lower=np.zeros(2), upper=np.ones(2)),
         binary=np.ones(2, dtype=bool))
-    assert ScipyBackend().solve_mip(mip).status == INFEASIBLE
+
+
+def test_mip_proves_infeasible():
+    assert ScipyBackend().solve_mip(_infeasible_mip()).status == INFEASIBLE
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -311,40 +317,178 @@ def test_loose_gap_bound_is_proven(seed):
     assert sol.objective - sol.bound <= 0.05 * abs(sol.objective) + 1e-9
 
 
+def _changed_options(options):
+    """The HiGHS options that differ from HiGHS's defaults, by name."""
+    default = scipy_backend.highs.HighsOptions()
+    return {name: getattr(options, name) for name in dir(options)
+            if not name.startswith("_")
+            and getattr(options, name) != getattr(default, name)}
+
+
 def test_scipy_mip_settings_survive_the_presolve_retry(monkeypatch):
-    real, seen = scipy_backend.sciopt.milp, []
+    real, seen = scipy_backend._run, []
 
-    def milp(**kwargs):
-        seen.append(dict(kwargs["options"]))
-        res = real(**kwargs)
+    def run(model, options):
+        seen.append(_changed_options(options))
+        solver, status = real(model, options)
         if len(seen) == 1:
-            res.status = 4      # a HiGHS solve error: forces the retry
-        return res
+            status = scipy_backend.highs.HighsModelStatus.kSolveError  # forces the retry
+        return solver, status
 
-    monkeypatch.setattr(scipy_backend.sciopt, "milp", milp)
+    monkeypatch.setattr(scipy_backend, "_run", run)
     sol = ScipyBackend().solve_mip(_hand_knapsack(), gap_tol=0.01, node_cap=7)
     assert sol.status == OPTIMAL and abs(sol.objective + 9.0) < 1e-9
-    fixed = {"mip_rel_gap": 0.01, "node_limit": 7,
+    fixed = {"log_to_console": False, "mip_rel_gap": 0.01, "mip_max_nodes": 7,
              "mip_heuristic_run_feasibility_jump": False}
-    assert seen == [fixed, {**fixed, "presolve": False}]
+    assert seen == [fixed, {**fixed, "presolve": "off"}]
+
+
+def _subset_sum_mip():
+    # 30 binaries whose weights must hit a sum exactly, 8 of them at once:
+    # HiGHS's root node finds no incumbent, so a cap of one node ends with
+    # none.
+    rng = np.random.default_rng(0)
+    weights = rng.integers(1000, 100000, 30).astype(float)
+    return MixedBinaryProgram(
+        lp=LinearProgram(objective=rng.uniform(-1.0, 1.0, 30),
+                         lhs=[weights, np.full(30, 2.0)], senses=["=", "="],
+                         rhs=[np.sort(weights)[::2][:8].sum(), 16.0],
+                         lower=np.zeros(30), upper=np.ones(30)),
+        binary=np.ones(30, dtype=bool))
+
+
+def _count_highs_runs(monkeypatch):
+    """The presolve setting of every HiGHS run the backend makes from now on."""
+    real, calls = scipy_backend._run, []
+
+    def run(model, options):
+        calls.append(options.presolve)
+        return real(model, options)
+
+    monkeypatch.setattr(scipy_backend, "_run", run)
+    return calls
 
 
 def test_scipy_node_cap_returns_bound_without_retry(monkeypatch):
-    # scipy 1.17 reports HiGHS's node-limit stop as status 4, like a solve
-    # error; it must come back as NODE_CAP, not as a presolve-off retry.
-    real, calls = scipy_backend.sciopt.milp, []
-
-    def milp(**kwargs):
-        calls.append(kwargs["options"].get("presolve", True))
-        return real(**kwargs)
-
-    monkeypatch.setattr(scipy_backend.sciopt, "milp", milp)
+    # HiGHS ends a node-capped solve with its "solution limit" status; it
+    # must come back as NODE_CAP from one HiGHS run, not as a retry.
+    calls = _count_highs_runs(monkeypatch)
     problem = generate_knapsack(KnapsackGenSpec(10, 20, 10, seed=0, m1=5, m2=5))
     sol = ScipyBackend().solve_mip(build_dep_expectation(problem).program,
                                    node_cap=1)
     assert sol.status == NODE_CAP
     assert sol.x is not None and sol.bound <= sol.objective
-    assert calls == [True]
+    assert calls == ["choose"]
+
+
+def test_scipy_node_cap_without_incumbent_returns_the_bound(monkeypatch):
+    # scipy's milp read this stop as a failure: it retried without presolve
+    # and then raised NumericalFailure.
+    calls = _count_highs_runs(monkeypatch)
+    sol = ScipyBackend().solve_mip(_subset_sum_mip(), node_cap=1)
+    assert sol.status == NODE_CAP and sol.x is None and sol.objective is None
+    assert np.isfinite(sol.bound) and sol.nodes == 1
+    assert calls == ["choose"]
+
+
+def _milp_reference(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP):
+    """(status, objective, x, bound, nodes) of mip solved by scipy's
+    ``milp``, called as the backend called it before it ran HiGHS itself:
+    a sparse matrix, binaries clipped to [0, 1], feasibility jump off, one
+    retry without presolve after a HiGHS error, scipy's statuses mapped
+    back (a node-cap stop reads as status 4 at or past the node cap)."""
+    lp = mip.lp
+    senses = np.array(lp.senses)
+    constraints = [sciopt.LinearConstraint(
+        csc_array(lp.lhs), np.where(senses == "<=", -np.inf, lp.rhs),
+        np.where(senses == ">=", np.inf, lp.rhs))]
+    bounds = sciopt.Bounds(np.maximum(lp.lower, np.where(mip.binary, 0.0, lp.lower)),
+                           np.minimum(lp.upper, np.where(mip.binary, 1.0, lp.upper)))
+    options = {"mip_rel_gap": float(gap_tol), "node_limit": int(node_cap),
+               "mip_heuristic_run_feasibility_jump": False}
+
+    def run(**extra):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                    RuntimeWarning)
+            return sciopt.milp(c=lp.objective, constraints=constraints,
+                               integrality=mip.binary.astype(int), bounds=bounds,
+                               options={**options, **extra})
+
+    def nodes(res):
+        return int(res.get("mip_node_count") or 0)
+
+    def capped(res):
+        return res.status == 1 or (res.status == 4 and nodes(res) >= node_cap)
+
+    res = run()
+    if res.status == 4 and not capped(res):
+        res = run(presolve=False)
+    if res.status in (2, 3):
+        return {2: INFEASIBLE, 3: UNBOUNDED}[res.status], None, None, None, 0
+    assert res.status == 0 or capped(res), res.message
+    dual = res.get("mip_dual_bound")
+    if res.x is None:
+        return NODE_CAP, None, None, dual, nodes(res)
+    x = res.x.copy()
+    x[mip.binary] = np.round(x[mip.binary]) + 0.0
+    objective = float(lp.objective @ x)
+    if capped(res):
+        return NODE_CAP, objective, x, dual, nodes(res)
+    bound = objective if dual is None or not np.isfinite(dual) else min(dual, objective)
+    return OPTIMAL, objective, x, bound, nodes(res)
+
+
+def _reference_mips():
+    """(mip, gap_tol, node_cap) cases: the hand knapsack, an infeasible MIP,
+    an unbounded one (HiGHS answers "unbounded or infeasible" until the
+    retry without presolve), a MIP with no binary column, a node-capped DEP, every master of one
+    criterion-4 instance (rm-asd, single-cut and multicut L-shaped), one
+    collapsed ordering DEP at gap 1e-4, and the recourse MIPs of one svc
+    instance at every first stage."""
+    cases = [(_hand_knapsack(), 0.0, DEFAULT_NODE_CAP),
+             (_infeasible_mip(), 0.0, DEFAULT_NODE_CAP),
+             (MixedBinaryProgram(lp=LinearProgram(
+                 objective=[-1.0, 1.0], lhs=[[-1.0, 1.0]], senses=["<="], rhs=[1.0],
+                 lower=[0.0, 0.0], upper=[np.inf, 1.0]), binary=[False, True]),
+              0.0, DEFAULT_NODE_CAP),
+             (MixedBinaryProgram(lp=hand_lp(), binary=np.zeros(2, dtype=bool)),
+              0.0, DEFAULT_NODE_CAP)]
+    capped = generate_knapsack(KnapsackGenSpec(10, 20, 10, seed=0, m1=5, m2=5))
+    cases.append((build_dep_expectation(capped).program, 0.0, 1))
+
+    class Recording(ScipyBackend):
+        def solve_mip(self, mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP):
+            cases.append((mip, gap_tol, node_cap))
+            return super().solve_mip(mip, gap_tol=gap_tol, node_cap=node_cap)
+
+    knapsack = generate_knapsack(KnapsackGenSpec(6, 6, 4, seed=1, m1=3, m2=4))
+    rm_asd_solve(knapsack, AsdBoundsConfig(rho=0.5, max_iters=15, backend=Recording()))
+    for multicut in (False, True):
+        lshaped_solve(knapsack, 0.4, -900.0, backend=Recording(), multicut=multicut)
+    ordering = build_mssop_two_stage(generate_mssop_instance(4, 8, 5, seed=0)).problem
+    cases.append((build_dep_absolute_semideviation(
+        ordering, 0.5, collapse_mean_row=True).program, 1e-4, DEFAULT_NODE_CAP))
+    svc = svc_problem(3)
+    for k in range(2 ** svc.n1):
+        scenario_costs(svc, np.array([(k >> j) & 1 for j in range(svc.n1)], dtype=float),
+                       backend=Recording())
+    return cases
+
+
+def test_mip_answers_match_milp_bit_for_bit():
+    cases = _reference_mips()
+    statuses = set()
+    for k, (mip, gap_tol, node_cap) in enumerate(cases):
+        sol = ScipyBackend().solve_mip(mip, gap_tol=gap_tol, node_cap=node_cap)
+        status, objective, x, bound, nodes = _milp_reference(mip, gap_tol, node_cap)
+        statuses.add(status)
+        assert sol.status == status, k
+        assert _bits(sol.objective) == _bits(objective), k
+        assert _bits(sol.x) == _bits(x), k
+        assert _bits(sol.bound) == _bits(bound), k
+        assert sol.nodes == nodes, k
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED, NODE_CAP} and len(cases) > 130
 
 
 def test_scipy_mip_raises_no_warning():
