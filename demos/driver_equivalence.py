@@ -41,9 +41,9 @@ and 0.9 on the sixteen M.4.8.5 instances of the benchmark's
 vector, binary mask, proven bound, node count and solve time.  It also
 writes, per instance and rho, a digest (``riskshed.backend.memo._digest``:
 objective, matrix, senses, rhs, bounds and binary mask) of the program
-every builder assembles: the neutral form, both excess forms at eta ``DIGEST_ETA`` and
-the semideviation form with and without the collapsed mean row; these
-are built, not solved.  ``dep-compare`` prints, per batch,
+every builder assembles: the neutral form, both excess forms at eta
+``DIGEST_ETA`` and the semideviation form with and without the collapsed
+mean row; these are built, not solved.  ``dep-compare`` prints, per batch,
 the largest relative objective difference, whether the binary first-stage
 values match, the largest continuous first-stage difference and both
 sides' total solve time, and lists every instance past 1e-9 relative, a

@@ -150,7 +150,7 @@ def solve_lp(lp) -> LpSolution:
                       duals=duals, iterations=int(iters))
 
 
-def _mip_options(gap_tol, node_cap, presolve=True):
+def _mip_options(gap_tol, node_cap):
     """The settings ``milp`` sent HiGHS, on HiGHS's defaults otherwise."""
     options = highs.HighsOptions()
     options.log_to_console = False
@@ -159,8 +159,6 @@ def _mip_options(gap_tol, node_cap, presolve=True):
     # Feasibility jump takes ~8 ms to start on every call (HiGHS 1.12,
     # 2-core x86_64), more than these small MIPs take.
     options.mip_heuristic_run_feasibility_jump = False
-    if not presolve:
-        options.presolve = "off"
     return options
 
 
@@ -172,12 +170,14 @@ def solve_mip(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP) -> MipSolution:
                       np.minimum(lp.upper, np.where(mip.binary, 1.0, lp.upper)),
                       lp.lhs, np.where(le, -np.inf, lp.rhs), np.where(ge, np.inf, lp.rhs))
     model.integrality_ = [_VAR_TYPES[b] for b in mip.binary.tolist()]
-    solver, status = _run(model, _mip_options(gap_tol, node_cap))
+    options = _mip_options(gap_tol, node_cap)
+    solver, status = _run(model, options)
     if status not in _MIP_ANSWERS:
         # HiGHS can hit a solve error on small, badly scaled masters after
         # presolve (knapsack seed 659's bounding master); the unpresolved
         # model solves cleanly.
-        solver, status = _run(model, _mip_options(gap_tol, node_cap, presolve=False))
+        options.presolve = "off"
+        solver, status = _run(model, options)
     if status in (_STATUS.kInfeasible, _STATUS.kModelError):
         return MipSolution(status=INFEASIBLE)
     if status == _STATUS.kUnbounded:

@@ -442,10 +442,10 @@ def _milp_reference(mip, gap_tol=0.0, node_cap=DEFAULT_NODE_CAP):
 def _reference_mips():
     """(mip, gap_tol, node_cap) cases: the hand knapsack, an infeasible MIP,
     an unbounded one (HiGHS answers "unbounded or infeasible" until the
-    retry without presolve), a MIP with no binary column, a node-capped DEP, every master of one
-    criterion-4 instance (rm-asd, single-cut and multicut L-shaped), one
-    collapsed ordering DEP at gap 1e-4, and the recourse MIPs of one svc
-    instance at every first stage."""
+    retry without presolve), a MIP with no binary column, a node-capped
+    DEP, every master of one criterion-4 instance (rm-asd, single-cut and
+    multicut L-shaped), one collapsed ordering DEP at gap 1e-4, and the
+    recourse MIPs of one svc instance at every first stage."""
     cases = [(_hand_knapsack(), 0.0, DEFAULT_NODE_CAP),
              (_infeasible_mip(), 0.0, DEFAULT_NODE_CAP),
              (MixedBinaryProgram(lp=LinearProgram(
