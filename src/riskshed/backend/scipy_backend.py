@@ -5,8 +5,10 @@ LP and MIP the package solves is built into one ``HighsLp``
 (``_highs_lp``) and run on a fresh ``_Highs`` from
 ``scipy.optimize._highspy._core``, the highspy bindings scipy bundles since
 1.15.  Each gets the model and settings that ``linprog(method="highs")`` or
-``milp`` gave HiGHS, so it returns the same bits.  HiGHS's infinity is IEEE
-infinity, so infinite bounds pass unchanged.
+``milp`` gave HiGHS, so it returns the same bits, except that a MIP stopped
+at its node cap with no incumbent returns ``NODE_CAP`` where ``milp``
+reported a failure.  HiGHS's infinity is IEEE infinity, so infinite bounds
+pass unchanged.
 
 An LP's ``<=`` rows, with ``>=`` rows negated, sit above its ``=`` rows.
 One ``HighsOptions``, built on import and never changed (worker threads
