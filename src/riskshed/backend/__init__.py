@@ -18,8 +18,8 @@ from .program import (
 
 
 class ScipyBackend(Backend):
-    """HiGHS on scipy's bundled bindings; scipy.optimize is imported on
-    the first solve, as it is slow to load."""
+    """HiGHS on scipy's bundled bindings, loaded on the first solve
+    without the rest of scipy.optimize (``scipy_backend``)."""
 
     def solve_lp(self, lp):
         from . import scipy_backend

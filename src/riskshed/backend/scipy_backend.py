@@ -10,6 +10,13 @@ at its node cap with no incumbent returns ``NODE_CAP`` where ``milp``
 reported a failure.  HiGHS's infinity is IEEE infinity, so infinite bounds
 pass unchanged.
 
+Only that extension is loaded, from its file (``_load_highs``): importing
+the ``scipy.optimize`` package would load sparse, linalg, special and
+about 540 more modules that nothing here calls, which cost about 0.4 s
+and 40 MB per process (scipy 1.17.1, 2-core x86_64).  It is the same file
+and the same module object that ``scipy.optimize`` uses, whichever is
+imported first.
+
 An LP's ``<=`` rows, with ``>=`` rows negated, sit above its ``=`` rows.
 One ``HighsOptions``, built on import and never changed (worker threads
 share it), carries the five settings ``linprog`` sent.  The status is read
@@ -29,16 +36,46 @@ exact 0.0 or 1.0.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-# Not called here: bench/tracing.py replaces this name with a timing proxy
-# when it installs, and needs it bound.
-from scipy import optimize as sciopt  # noqa: F401
-from scipy.optimize._highspy import _core as highs
+import scipy
 
 from .program import (
     DEFAULT_NODE_CAP, INFEASIBLE, NODE_CAP, OPTIMAL, UNBOUNDED, LpSolution,
     MipSolution, NumericalFailure,
 )
+
+
+def _load_highs():
+    """``scipy.optimize._highspy._core``: the module an earlier import made,
+    else the extension loaded from its file in scipy's folder, else (for a
+    scipy laid out otherwise) the ordinary import.  A loaded module stays
+    out of ``sys.modules``: CPython's extension cache then hands this same
+    object to a later ``import scipy.optimize``."""
+    name = "scipy.optimize._highspy._core"
+    spec = name not in sys.modules and importlib.machinery.PathFinder.find_spec(
+        name, [str(Path(scipy.__file__).parent / "optimize" / "_highspy")])
+    if not spec:
+        return importlib.import_module(name)
+    highs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(highs)
+    return highs
+
+
+highs = _load_highs()
+
+
+def __getattr__(name):
+    # ``sciopt`` is read only by bench/tracing.py, which swaps it for a
+    # timing proxy on install: scipy.optimize loads on that first read.
+    if name == "sciopt":
+        import scipy.optimize
+        return scipy.optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # linprog's post-solve tolerance: 10 * sqrt(tol) at its default tol 1e-9.
 _FEASIBILITY_TOL = 10 * np.sqrt(1e-9)

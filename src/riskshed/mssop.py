@@ -290,30 +290,30 @@ class SimulationReport:
         return self.replenishment_cost + self.mean_recourse_cost
 
 
-def _simulate_once(instance, orders, demand):
-    """Closed-form recursion; minimal lost sales are optimal since every
+def _simulate(instance, orders, demand):
+    """Lost-sales recursion over every replication at once: demand is
+    (replication, item, period), and the events, quantity and cost come
+    back per replication.  Minimal lost sales are optimal since every
     shortage unit costs p_i >= 0 and every held unit h_i >= 0.
 
     Orders may be fractional (x is continuous in the model), so stock is
-    carried as a float.
+    carried as a float.  Each replication adds its terms in the order of a
+    scalar loop over items, then periods, so the sums are the same bits.
     """
-    events = 0
-    quantity = 0.0
-    cost = 0.0
-    for v, h, p, x_row, d_row in zip(
-            instance.initial_inventory.tolist(), instance.holding_cost.tolist(),
-            instance.lost_sales_penalty.tolist(), orders.tolist(), demand.tolist()):
-        for x, d in zip(x_row, d_row):
-            v = v + x - d
-            if v >= 0.0:
-                cost += h * v
-            else:
-                u = -v
-                v = 0.0
-                if u > EVENT_TOL:
-                    events += 1
-                quantity += u
-                cost += p * u
+    reps = demand.shape[0]
+    events = np.zeros(reps)
+    quantity = np.zeros(reps)
+    cost = np.zeros(reps)
+    for i, (h, p) in enumerate(zip(instance.holding_cost, instance.lost_sales_penalty)):
+        v = np.full(reps, instance.initial_inventory[i])
+        for t in range(orders.shape[1]):
+            v = v + orders[i, t] - demand[:, i, t]
+            short = v < 0.0
+            u = np.where(short, -v, 0.0)
+            v = np.where(short, 0.0, v)
+            events += u > EVENT_TOL
+            quantity += u
+            cost += np.where(short, p * u, h * v)
     return events, quantity, cost
 
 
@@ -334,16 +334,13 @@ def simulate_policy(instance, plan: ReplenishmentPlan, replications=5,
     """
     orders = np.asarray(plan.orders, dtype=float)
     streams = np.random.SeedSequence(seed).spawn(replications)
-    events = np.zeros(replications)
-    quantity = np.zeros(replications)
-    cost = np.zeros(replications)
-    for r in range(replications):
-        if zero_demand:
-            demand = np.zeros((instance.num_items, instance.num_periods))
-        else:
-            rng = np.random.Generator(np.random.Philox(streams[r]))
-            demand = sample_demand(instance, rng)
-        events[r], quantity[r], cost[r] = _simulate_once(instance, orders, demand)
+    if zero_demand:
+        demand = np.zeros((replications, instance.num_items, instance.num_periods))
+    else:
+        draws = [np.random.Generator(np.random.Philox(stream)).normal(
+            instance.demand_mean, instance.demand_std) for stream in streams]
+        demand = np.rint(np.clip(draws, 0.0, None))
+    events, quantity, cost = _simulate(instance, orders, demand)
     return SimulationReport(
         label=label or "plan", replications=replications,
         lost_sales_events=events, lost_sales_quantity=quantity,

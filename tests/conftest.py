@@ -9,8 +9,13 @@ solve anything: every call fails the test.  ``pin_first_stage`` and
 ``svc_problem`` rebuilds the service-style family of the cut audit.
 ``verify_complete_recourse`` certifies the knapsack family's recourse,
 and ``dep_dimensions`` counts an assembled extensive form.
+``python_on_src`` runs a fresh interpreter on this checkout.
 """
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,15 @@ import pytest
 from riskshed.backend import (Backend, LinearProgram, MixedBinaryProgram,
                               get_backend, optimal)
 from riskshed.model import Scenario, TwoStageProblem
+
+
+def python_on_src(*argv):
+    """Run a fresh python with this checkout's src first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env)
 
 
 class NoSolver(Backend):

@@ -30,7 +30,7 @@ from riskshed.model import RiskMeasure, RiskSpec, scenario_costs
 from riskshed.mssop import build_mssop_two_stage, generate_mssop_instance
 from riskshed.oracle import brute_force_optimum
 
-from conftest import svc_problem
+from conftest import python_on_src, svc_problem
 
 
 def random_lp(rng, n=6, m=4):
@@ -603,3 +603,68 @@ def test_memo_backend_solves_once_under_threads():
     assert all(len(out) == 100 for out in answers)
     assert {id(sol) for out in answers for sol in out} == {
         id(memo.solve_lp(lp)) for lp in lps}
+
+
+# HiGHS's bindings are loaded from their file, not through scipy.optimize.
+# The suite imports scipy.optimize first (this module does), so each load
+# order runs in a fresh interpreter.
+_SOLVE_WITHOUT_SCIPY_OPTIMIZE = """
+import sys
+from pathlib import Path
+from riskshed import cli
+from riskshed.asd_bounds import AsdBoundsConfig, rm_asd_solve
+from riskshed.backend import ScipyBackend
+from riskshed.knapsack import KnapsackGenSpec, generate_knapsack
+folder = Path(sys.argv[1])
+assert cli.main(["gen", "knapsack", "--n1", "5", "--n2", "6", "--scens", "3",
+                 "--seed", "4", "--m1", "3", "--m2", "4",
+                 "--out", str(folder / "k.sp2.json")]) == 0
+assert cli.main(["solve", "--in", str(folder / "k.sp2.json"), "--risk", "asd",
+                 "--rho", "0.5", "--method", "dep",
+                 "--out", str(folder / "k.result.json")]) == 0
+backend = ScipyBackend()
+rm_asd_solve(generate_knapsack(KnapsackGenSpec(6, 6, 4, seed=1, m1=3, m2=4)),
+             AsdBoundsConfig(rho=0.5, max_iters=15, backend=backend))
+assert backend.stats.lp_solves > 0 and backend.stats.mip_solves > 0
+print("loaded:", sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
+"""
+
+_SCIPY_OPTIMIZE_SOLVES_ON_THE_SAME_BINDINGS = """
+import numpy as np
+import scipy.optimize
+from riskshed.backend import scipy_backend
+assert scipy.optimize._highspy._core is scipy_backend.highs
+assert scipy_backend.sciopt is scipy.optimize
+assert scipy.optimize.linprog([-1.0, -1.0], A_ub=[[1.0, 2.0]], b_ub=[4.0],
+                              bounds=[(0, 3), (0, 3)]).status == 0
+assert scipy.optimize.milp([-1.0, -1.0], integrality=[1, 1],
+                           bounds=scipy.optimize.Bounds(0, 3),
+                           constraints=scipy.optimize.LinearConstraint(
+                               [[1.0, 2.0]], -np.inf, 4.0)).status == 0
+"""
+
+
+def test_solves_load_neither_scipy_optimize_nor_scipy_sparse(tmp_path):
+    proc = python_on_src("-c", _SOLVE_WITHOUT_SCIPY_OPTIMIZE
+                         + _SCIPY_OPTIMIZE_SOLVES_ON_THE_SAME_BINDINGS,
+                         str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "loaded: []" in proc.stdout.splitlines()
+
+
+def test_scipy_optimize_imported_first_shares_its_bindings():
+    proc = python_on_src("-c", "import scipy.optimize\n"
+                         + _SCIPY_OPTIMIZE_SOLVES_ON_THE_SAME_BINDINGS)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bindings_fall_back_to_the_ordinary_import(tmp_path):
+    # A scipy whose folder holds no optimize/_highspy/_core.
+    proc = python_on_src("-c", (
+        "import sys, scipy\n"
+        "scipy.__file__ = sys.argv[1] + '/__init__.py'\n"
+        "from riskshed.backend import scipy_backend\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "assert scipy_backend.highs is sys.modules['scipy.optimize._highspy._core']\n"
+        + _SCIPY_OPTIMIZE_SOLVES_ON_THE_SAME_BINDINGS), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr

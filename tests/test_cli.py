@@ -5,10 +5,7 @@ import hashlib
 import json
 import os
 import struct
-import subprocess
-import sys
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +16,7 @@ from riskshed.model import (RiskMeasure, RiskSpec, Scenario, TwoStageProblem,
                             evaluate_objective)
 from riskshed.oracle import brute_force_optimum
 
-from conftest import svc_problem, unbounded_recourse_problem
+from conftest import python_on_src, svc_problem, unbounded_recourse_problem
 
 
 def run(*argv):
@@ -852,15 +849,6 @@ def test_two_threads_replay_one_thread(knap_file, tmp_path, method, extra):
         results.append((code, out.read_bytes(), history.read_bytes()))
     assert results[0][0] in (0, 4)
     assert results[1] == results[0]
-
-
-def python_on_src(*argv):
-    """Run a fresh python with this checkout's src first on its path."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env)
 
 
 def test_cli_solve_writes_nothing_to_stderr(knap_file, tmp_path):

@@ -6,9 +6,9 @@ from riskshed.backend import ScipyBackend
 from riskshed.dep import build_dep_expectation
 from riskshed.model import scenario_costs
 from riskshed.mssop import (
-    BREAKPOINT_WEIGHT, FREIGHT_COST, MssopInstance, ReplenishmentPlan,
-    _simulate_once, build_mssop_two_stage, generate_mssop_instance,
-    sample_demand, simulate_policy,
+    BREAKPOINT_WEIGHT, EVENT_TOL, FREIGHT_COST, MssopInstance, ReplenishmentPlan,
+    build_mssop_two_stage, generate_mssop_instance, sample_demand,
+    simulate_policy,
 )
 
 
@@ -24,6 +24,29 @@ def hand_instance(demand, setup=600.0, weight=2.0, holding=50.0,
         initial_inventory=np.full(I, o0), demand=demand,
         probabilities=np.full(S, 1.0 / S),
         demand_mean=demand.mean(axis=0), demand_std=np.ones((I, T)))
+
+
+def _simulate_once(instance, orders, demand):
+    """The lost-sales recursion for one replication as a scalar loop: the
+    reference ``simulate_policy`` must match bit for bit."""
+    events = 0
+    quantity = 0.0
+    cost = 0.0
+    for v, h, p, x_row, d_row in zip(
+            instance.initial_inventory.tolist(), instance.holding_cost.tolist(),
+            instance.lost_sales_penalty.tolist(), orders.tolist(), demand.tolist()):
+        for x, d in zip(x_row, d_row):
+            v = v + x - d
+            if v >= 0.0:
+                cost += h * v
+            else:
+                u = -v
+                v = 0.0
+                if u > EVENT_TOL:
+                    events += 1
+                quantity += u
+                cost += p * u
+    return events, quantity, cost
 
 
 def test_instance_validation():
@@ -189,6 +212,13 @@ def test_simulator_charges_fractional_orders_as_solved():
     assert events == 0
     assert quantity == pytest.approx(1e-9, abs=1e-12)
     assert cost == pytest.approx(200.0 * 1e-9, abs=1e-12)
+    inst.demand_std = np.zeros((1, 1))    # every draw is the mean, 10
+    short = ReplenishmentPlan(orders=np.array([[10.0 - 1e-9]]), setups=np.ones((1, 1)),
+                              segment_weights=np.zeros((7, 1)))
+    rep = simulate_policy(inst, short, replications=2, seed=0)
+    assert rep.lost_sales_events.tolist() == [0.0, 0.0]
+    assert rep.lost_sales_quantity == pytest.approx([1e-9] * 2, abs=1e-12)
+    assert rep.recourse_cost == pytest.approx([200.0 * 1e-9] * 2, abs=1e-12)
 
 
 def test_simulator_streams_shared_across_policies():
@@ -206,6 +236,26 @@ def test_simulator_streams_shared_across_policies():
         assert rep.lost_sales_events[r] == np.count_nonzero(demand)
     again = simulate_policy(inst, null, replications=6, seed=4)
     assert np.array_equal(rep.recourse_cost, again.recourse_cost)
+
+
+def test_simulation_matches_the_scalar_recursion_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(8))
+    for k in range(18):
+        inst = generate_mssop_instance(1 + k % 3, 1 + k % 5, 2, seed=k)
+        if k % 2:
+            inst.initial_inventory = rng.uniform(0.0, 150.0, inst.num_items)
+        orders = rng.uniform(0.0, 250.0, (inst.num_items, inst.num_periods))
+        orders[rng.random(orders.shape) < 0.3] = 0.0
+        plan = ReplenishmentPlan(orders, (orders > 0).astype(float),
+                                 np.zeros((7, inst.num_periods)))
+        rep = simulate_policy(inst, plan, replications=7, seed=k)
+        streams = np.random.SeedSequence(k).spawn(7)
+        for r in range(7):
+            demand = sample_demand(inst, np.random.Generator(np.random.Philox(streams[r])))
+            events, quantity, cost = _simulate_once(inst, orders, demand)
+            assert rep.lost_sales_events[r] == events
+            assert rep.lost_sales_quantity[r].tobytes() == np.float64(quantity).tobytes()
+            assert rep.recourse_cost[r].tobytes() == np.float64(cost).tobytes()
 
 
 def test_simulation_report_means():
